@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace gossip;
   const auto cfg = bench::Config::parse(argc, argv);
-  const auto algorithms = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size, cfg.delivery_buckets);
+  const auto algorithms = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size);
 
   bench::print_header(
       "E3: total bit complexity",

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   // Contrast: involvement of the unbounded algorithms (Section 7's point).
   Table contrast("max per-round involvement of the unbounded-Delta algorithms",
                  {"algorithm", "max involvement", "n"});
-  for (const auto& algo : bench::standard_algorithms(1024, cfg.threads, cfg.shard_size, cfg.delivery_buckets)) {
+  for (const auto& algo : bench::standard_algorithms(1024, cfg.threads, cfg.shard_size)) {
     if (algo.name != "Cluster1" && algo.name != "Cluster2" && algo.name != "PUSH-PULL") {
       continue;
     }

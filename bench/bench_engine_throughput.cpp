@@ -13,15 +13,13 @@
 // Output: machine-readable JSON on stdout (optionally --out=FILE), one
 // record per (n, workload, path) with MEDIAN-of-repeats contacts/sec and a
 // per-phase wall-clock breakdown (phase 1 initiate/draw/queue, phase 2 push
-// delivery, phase 3 pull resolution - the receiver-bucketed delivery work
-// lives in phases 2-3), plus the static/legacy speedup per (n, workload)
-// and the telemetry recorder's overhead (the "static_recorder" path runs
+// delivery, phase 3 pull resolution), plus the static/legacy speedup per
+// (n, workload) and the telemetry recorder's overhead (the "static_recorder" path runs
 // the static workload with an obs::Telemetry attached).
 // This seeds the BENCH_*.json tracking files:
 //   ./bench_engine_throughput --out=BENCH_engine_throughput.json
 // Options: --rounds=R (default 12), --sizes=1e5,1e6,4e6 (comma list),
 //          --repeats=K (default 3; median-of-K per configuration),
-//          --delivery-buckets=N (0 = engine auto, 1 = the flat PR 4 sweep),
 //          --workloads=push,push_pull,exchange (comma subset, any order),
 //          --quick (100k only, for CI smoke).
 #include <array>
@@ -265,8 +263,7 @@ Sample one_repeat(EngineT& engine, unsigned rounds, RunRound&& run_round) {
 
 template <class Hooks>
 std::vector<Result> bench_size(std::uint32_t n, const std::string& workload, Hooks hooks,
-                               unsigned rounds, unsigned repeats, bool delta_metering,
-                               unsigned delivery_buckets) {
+                               unsigned rounds, unsigned repeats, bool delta_metering) {
   // Fresh same-seed networks per path: identical workloads, so the
   // contacts/sec ratio isolates the executor implementations.
   const auto make_net = [n] {
@@ -281,7 +278,6 @@ std::vector<Result> bench_size(std::uint32_t n, const std::string& workload, Hoo
   const auto run_static = [&] {
     sim::Network net = make_net();
     sim::Engine engine(net);
-    engine.set_delivery_buckets(delivery_buckets);
     engine.set_phase_timing(true);
     engine.metrics().set_track_involvement(delta_metering);
     return one_repeat(engine, rounds, [&] { engine.run_round(hooks); });
@@ -298,7 +294,6 @@ std::vector<Result> bench_size(std::uint32_t n, const std::string& workload, Hoo
     telemetry.rounds.reserve(rounds + 2);
     telemetry.provenance.arm(net.capacity());
     engine.set_telemetry(&telemetry);
-    engine.set_delivery_buckets(delivery_buckets);
     engine.set_phase_timing(true);
     engine.metrics().set_track_involvement(delta_metering);
     return one_repeat(engine, rounds, [&] { engine.run_round(hooks); });
@@ -307,7 +302,6 @@ std::vector<Result> bench_size(std::uint32_t n, const std::string& workload, Hoo
   const auto run_adapter = [&] {
     sim::Network net = make_net();
     sim::Engine engine(net);
-    engine.set_delivery_buckets(delivery_buckets);
     engine.set_phase_timing(true);
     engine.metrics().set_track_involvement(delta_metering);
     return one_repeat(engine, rounds, [&] { engine.run_round(hooks_legacy); });
@@ -389,18 +383,16 @@ std::vector<Result> bench_size(std::uint32_t n, const std::string& workload, Hoo
 }
 
 void emit_json(std::ostream& os, const std::vector<Result>& results, bool delta_metering,
-               unsigned repeats, unsigned delivery_buckets) {
+               unsigned repeats) {
   os << "{\n  \"bench\": \"engine_throughput\",\n  \"unit\": \"contacts_per_sec\",\n"
      << "  \"knowledge_tracking\": false,\n"
      << "  \"delta_metering_static_legacy\": " << (delta_metering ? "true" : "false")
      << ",\n"
      << "  \"repeats\": " << repeats << ",\n"
-     << "  \"delivery_buckets\": " << delivery_buckets << ",\n"
      << "  \"peak_rss_bytes\": " << peak_rss_bytes() << ",\n"
      << "  \"note\": \"seconds/contacts_per_sec are the MEDIAN repeat; "
      << "phase*_seconds break that repeat down (1 = initiate+draw+queue, "
-     << "2 = push delivery, 3 = pull resolution); delivery_buckets 0 = "
-     << "auto-bucketed receiver-local delivery (sim/engine.hpp); "
+     << "2 = push delivery, 3 = pull resolution); "
      << "vs_*/recorder_overhead are medians of per-iteration PAIRED ratios "
      << "(paths interleaved round-robin, pair order alternating per "
      << "iteration), so ambient host noise cancels within each pair\",\n"
@@ -467,7 +459,6 @@ std::vector<std::uint32_t> parse_sizes(const std::string& spec) {
 int main(int argc, char** argv) {
   unsigned rounds = 12;
   unsigned repeats = 3;
-  unsigned delivery_buckets = 0;  // 0 = engine auto
   std::vector<std::uint32_t> sizes{100000, 1000000, 4000000};
   std::vector<std::string> workloads{"push", "push_pull", "exchange"};
   std::string out_path;
@@ -490,9 +481,6 @@ int main(int argc, char** argv) {
       rounds = parse_uint(arg, 9, 1, 1u << 20, "--rounds");
     } else if (arg.rfind("--repeats=", 0) == 0) {
       repeats = parse_uint(arg, 10, 1, 1000, "--repeats");
-    } else if (arg.rfind("--delivery-buckets=", 0) == 0) {
-      delivery_buckets =
-          parse_uint(arg, 19, 0, sim::kMaxDeliveryBuckets, "--delivery-buckets");
     } else if (arg.rfind("--sizes=", 0) == 0) {
       sizes = parse_sizes(arg.substr(8));
     } else if (arg.rfind("--workloads=", 0) == 0) {
@@ -546,14 +534,11 @@ int main(int argc, char** argv) {
       std::vector<Result> triple;
       const std::string& w = workload;
       if (w == "push") {
-        triple = bench_size(n, w, PushWorkload{}, rounds, repeats, delta_metering,
-                            delivery_buckets);
+        triple = bench_size(n, w, PushWorkload{}, rounds, repeats, delta_metering);
       } else if (w == "push_pull") {
-        triple = bench_size(n, w, PushPullWorkload{}, rounds, repeats, delta_metering,
-                            delivery_buckets);
+        triple = bench_size(n, w, PushPullWorkload{}, rounds, repeats, delta_metering);
       } else {
-        triple = bench_size(n, w, ExchangeWorkload{}, rounds, repeats, delta_metering,
-                            delivery_buckets);
+        triple = bench_size(n, w, ExchangeWorkload{}, rounds, repeats, delta_metering);
       }
       for (Result& r : triple) {
         std::fprintf(stderr,
@@ -567,10 +552,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  emit_json(std::cout, results, delta_metering, repeats, delivery_buckets);
+  emit_json(std::cout, results, delta_metering, repeats);
   if (!out_path.empty()) {
     std::ofstream f(out_path);
-    emit_json(f, results, delta_metering, repeats, delivery_buckets);
+    emit_json(f, results, delta_metering, repeats);
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   }
   return 0;

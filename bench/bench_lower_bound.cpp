@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   // Upper-bound side: Cluster1's measured rounds against the same curve.
   Table ub("matching upper bound: Cluster1 rounds / loglog n (constant => Thm 9 tight)",
            {"n", "Cluster1 rounds", "rounds / loglog n"});
-  const auto c1 = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size, cfg.delivery_buckets)[0];
+  const auto c1 = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size)[0];
   for (unsigned e = 10; e <= cfg.max_exp && e <= 20; e += 2) {
     const std::uint32_t n = 1u << e;
     const auto agg = bench::sweep(c1, n, std::min(cfg.seeds, 3u));

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace gossip;
   const auto cfg = bench::Config::parse(argc, argv);
   const auto sizes = cfg.size_sweep();
-  const auto algorithms = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size, cfg.delivery_buckets);
+  const auto algorithms = bench::standard_algorithms(1024, cfg.threads, cfg.shard_size);
 
   bench::print_header(
       "E2: messages per node",

@@ -4,12 +4,10 @@
 // criterion (>1.5x at 4 threads on a multi-core host, guarded - a
 // single-core CI box shows ~1x and that is expected, not a failure).
 //
-// Workloads: (a) every node pushes the rumor to a uniform random node -
-// phase 1 (initiate + draw + meter + encode) dominates and is what the
-// shards parallelise; (b) push_pull with set_parallel_delivery(true) -
-// phases 2-3 fan over the pool per receiver bucket (PR 5), measuring the
-// delivery-phase scaling on top of the sharded phase 1. Knowledge tracking
-// and Delta metering off, as in large experiment runs.
+// Workload: every node pushes the rumor to a uniform random node - phase 1
+// (initiate + draw + meter + encode) dominates and is what the shards
+// parallelise; phases 2-3 run on the calling thread. Knowledge tracking and
+// Delta metering off, as in large experiment runs.
 //
 // The bench host may be noisy (see ROADMAP.md): every (threads, n)
 // configuration is measured `reps` times and the MEDIAN contacts/sec is the
@@ -47,20 +45,6 @@ struct PushWorkload {
   void on_push(std::uint32_t, const sim::Message&) const {}
 };
 
-// Delivery-phase scaling workload: half push, half pull, so phases 2-3
-// carry real work for the receiver-bucketed pool execution
-// (set_parallel_delivery) to spread. Hooks touch no shared state, as the
-// parallel-delivery contract requires.
-struct PushPullWorkload {
-  std::optional<sim::Contact> initiate(std::uint32_t v) const {
-    if ((v & 1) == 0) return sim::Contact::push_random(sim::Message::rumor());
-    return sim::Contact::pull_random();
-  }
-  sim::Message respond(std::uint32_t) const { return sim::Message::rumor(); }
-  void on_push(std::uint32_t, const sim::Message&) const {}
-  void on_pull_reply(std::uint32_t, const sim::Message&) const {}
-};
-
 struct Result {
   std::uint64_t n = 0;
   std::string path;         // "serial" | "sharded"
@@ -70,7 +54,7 @@ struct Result {
   double median_cps = 0, min_cps = 0, max_cps = 0;
 };
 
-template <class Workload, class MakeEngine>
+template <class MakeEngine>
 Result measure(std::uint32_t n, unsigned threads, const char* path, unsigned rounds,
                unsigned reps, MakeEngine&& make_engine) {
   Result res;
@@ -86,7 +70,7 @@ Result measure(std::uint32_t n, unsigned threads, const char* path, unsigned rou
     sim::Network net(o);
     auto engine = make_engine(net);
     engine->metrics().set_track_involvement(false);
-    Workload w;
+    PushWorkload w;
     // Warm-up sizes every scratch buffer (and spins the pool up once).
     engine->run_round(w);
     engine->run_round(w);
@@ -108,16 +92,13 @@ Result measure(std::uint32_t n, unsigned threads, const char* path, unsigned rou
 
 void emit_json(std::ostream& os, const std::vector<Result>& results,
                unsigned hardware_threads) {
-  double serial_median = 0, one_thread_median = 0, serial_pp_median = 0;
+  double serial_median = 0, one_thread_median = 0;
   for (const Result& r : results) {
     if (r.path == "serial") serial_median = r.median_cps;
     if (r.path == "sharded" && r.threads == 1) one_thread_median = r.median_cps;
-    if (r.path == "serial_push_pull") serial_pp_median = r.median_cps;
   }
   os << "{\n  \"bench\": \"parallel_scaling\",\n  \"unit\": \"contacts_per_sec\",\n"
-     << "  \"workloads\": {\"serial|sharded\": \"push\", "
-     << "\"serial_push_pull|parallel_delivery_push_pull\": \"push_pull, "
-     << "pool-executed delivery phases (64 receiver buckets)\"},\n"
+     << "  \"workloads\": {\"serial|sharded\": \"push\"},\n"
      << "  \"config\": \"knowledge tracking off, Delta metering off\",\n"
      << "  \"hardware_threads\": " << hardware_threads << ",\n"
      << "  \"note\": \"medians over repeated runs; speedups are meaningful only "
@@ -137,9 +118,6 @@ void emit_json(std::ostream& os, const std::vector<Result>& results,
     }
     if (r.path == "sharded" && serial_median > 0) {
       os << ", \"vs_serial_engine\": " << r.median_cps / serial_median;
-    }
-    if (r.path == "parallel_delivery_push_pull" && serial_pp_median > 0) {
-      os << ", \"vs_serial_push_pull\": " << r.median_cps / serial_pp_median;
     }
     os << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
@@ -224,41 +202,19 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
 
   results.push_back(
-      measure<PushWorkload>(n, 0, "serial", rounds, reps, [](sim::Network& net) {
+      measure(n, 0, "serial", rounds, reps, [](sim::Network& net) {
         return std::make_unique<sim::Engine>(net);
       }));
   std::fprintf(stderr, "n=%-9u serial            %8.2f Mcontacts/s (median of %u)\n", n,
                results.back().median_cps / 1e6, reps);
   for (const unsigned t : threads) {
     results.push_back(
-        measure<PushWorkload>(n, t, "sharded", rounds, reps, [t](sim::Network& net) {
+        measure(n, t, "sharded", rounds, reps, [t](sim::Network& net) {
           return std::make_unique<sim::parallel::ParallelEngine>(
               net, sim::parallel::ParallelOptions{.threads = t});
         }));
     std::fprintf(stderr, "n=%-9u sharded %2u thread%s %8.2f Mcontacts/s (median of %u)\n",
                  n, t, t == 1 ? " " : "s", results.back().median_cps / 1e6, reps);
-  }
-
-  // Delivery-phase scaling (PR 5): push_pull workload, phases 2-3 fanned
-  // over the pool per receiver bucket (64 pinned so the partition exists at
-  // every n; results are bit-identical to the serial sweep by contract).
-  results.push_back(measure<PushPullWorkload>(n, 0, "serial_push_pull", rounds, reps,
-                                              [](sim::Network& net) {
-                                                return std::make_unique<sim::Engine>(net);
-                                              }));
-  std::fprintf(stderr, "n=%-9u serial push_pull  %8.2f Mcontacts/s (median of %u)\n", n,
-               results.back().median_cps / 1e6, reps);
-  for (const unsigned t : threads) {
-    results.push_back(measure<PushPullWorkload>(
-        n, t, "parallel_delivery_push_pull", rounds, reps, [t](sim::Network& net) {
-          return std::make_unique<sim::parallel::ParallelEngine>(
-              net, sim::parallel::ParallelOptions{.threads = t,
-                                                  .delivery_buckets = 64,
-                                                  .parallel_delivery = true});
-        }));
-    std::fprintf(stderr,
-                 "n=%-9u par-dlvry %2u thread%s %8.2f Mcontacts/s (median of %u)\n", n, t,
-                 t == 1 ? " " : "s", results.back().median_cps / 1e6, reps);
   }
 
   emit_json(std::cout, results, hardware_threads);

@@ -9,10 +9,6 @@
 //                      serial, the default - see sim/engine.hpp)
 //   --shard-size=N     initiators per phase-1 shard when --threads >= 1
 //                      (0 = default width; re-keys the shard draw streams)
-//   --delivery-buckets=N  receiver buckets for the engine's delivery phases
-//                      (0 = auto by network size, 1 = flat; results are
-//                      bit-identical for every value - this is a pure
-//                      locality knob for sweeps)
 //   --trial-threads=N  cross-trial workers for TrialRunner-based benches
 //                      (aggregates are bit-identical for every value)
 // The wall-clock benches (bench_engine_throughput, bench_parallel_scaling;
@@ -65,7 +61,6 @@ struct Config {
   unsigned max_exp = 18;  ///< largest network is 2^max_exp (20 with --full)
   unsigned threads = 0;   ///< sharded phase-1 engine threads (0 = serial)
   unsigned shard_size = 0;        ///< initiators per shard (0 = default width)
-  unsigned delivery_buckets = 0;  ///< delivery receiver buckets (0 = auto)
   unsigned trial_threads = 1;  ///< TrialRunner workers (migrated benches)
   double loss_prob = 0.0; ///< per-contact payload loss (TrialRunner benches)
   double join_rate = 0.0;  ///< Poisson joins per round (TrialRunner benches)
@@ -100,8 +95,8 @@ struct Config {
     std::fprintf(stderr,
                  "%s\n"
                  "usage: bench_* [--full] [--seeds=N] [--max-exp=K] [--threads=N]\n"
-                 "               [--shard-size=N] [--delivery-buckets=N]\n"
-                 "               [--trial-threads=N] [--loss-prob=P] [--crash-round=R]\n"
+                 "               [--shard-size=N] [--trial-threads=N]\n"
+                 "               [--loss-prob=P] [--crash-round=R]\n"
                  "               [--join-rate=R] [--crash-rate=R] [--recovery]\n"
                  "               [--retry-budget=N] [--partition-round=R]\n"
                  "               [--heal-round=R] [--partition-parts=K] [--out=FILE]\n"
@@ -204,13 +199,6 @@ struct Config {
         } catch (const std::exception& e) {
           usage_and_exit(e.what());
         }
-      } else if (arg.rfind("--delivery-buckets=", 0) == 0) {
-        try {
-          c.delivery_buckets = static_cast<unsigned>(runner::parse_count(
-              "--delivery-buckets=", arg.substr(19), 0, sim::kMaxDeliveryBuckets));
-        } catch (const std::exception& e) {
-          usage_and_exit(e.what());  // names the valid range [0, 4096]
-        }
       } else if (arg.rfind("--shard-size=", 0) == 0) {
         try {
           c.shard_size = static_cast<unsigned>(
@@ -259,13 +247,12 @@ struct Config {
     if (spec.recovery) spec.retry_budget = retry_budget;
   }
 
-  /// Copies the engine-execution flags (--threads / --shard-size /
-  /// --delivery-buckets) onto a TrialRunner spec, so every migrated bench
-  /// exposes the same locality/parallelism sweep surface.
+  /// Copies the engine-execution flags (--threads / --shard-size) onto a
+  /// TrialRunner spec, so every migrated bench exposes the same
+  /// parallelism sweep surface.
   void apply_engine(runner::ScenarioSpec& spec) const {
     spec.engine_threads = threads;
     spec.shard_size = shard_size;
-    spec.delivery_buckets = delivery_buckets;
   }
 };
 
@@ -300,17 +287,14 @@ struct NamedAlgorithm {
 /// `threads` >= 1 opts every run's engine into sharded phase-1 execution
 /// (DriverOptions.threads / UniformOptions.threads; changes same-seed
 /// trajectories once, see sim/engine.hpp). `shard_size` pins the shard
-/// width; `delivery_buckets` pins the delivery decomposition (trajectory-
-/// invariant).
+/// width.
 inline std::vector<NamedAlgorithm> standard_algorithms(std::uint64_t delta = 1024,
                                                        unsigned threads = 0,
-                                                       unsigned shard_size = 0,
-                                                       unsigned delivery_buckets = 0) {
+                                                       unsigned shard_size = 0) {
   runner::ScenarioSpec spec;
   spec.delta = delta;
   spec.engine_threads = threads;
   spec.shard_size = shard_size;
-  spec.delivery_buckets = delivery_buckets;
   std::vector<NamedAlgorithm> out;
   for (const runner::AlgorithmEntry& entry : runner::algorithms()) {
     out.push_back({entry.display,

@@ -62,7 +62,6 @@ core::BroadcastReport run_rrs(sim::Network& net, std::uint32_t source, RrsOption
   const unsigned cap = detail::auto_round_cap(n, options.max_rounds);
 
   sim::Engine engine(net);
-  if (options.delivery_buckets) engine.set_delivery_buckets(options.delivery_buckets);
   engine.set_fault_model(options.fault);
   // ctr == 0: uninformed; 1..ctr_max: state B; > ctr_max: state C.
   // Capacity-sized: joiners are valid exchange partners under churn.

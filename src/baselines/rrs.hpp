@@ -32,9 +32,6 @@ struct RrsOptions {
   /// Fault scenario on the round timeline (sim/fault.hpp; nullable,
   /// non-owning; the caller invokes on_run_begin itself).
   sim::FaultModel* fault = nullptr;
-  /// Receiver buckets for the delivery phases (0 = the engine's auto
-  /// default; Engine::set_delivery_buckets). Trajectory-invariant.
-  std::uint32_t delivery_buckets = 0;
   /// Observability handle attached to the run's engine (src/obs/), with an
   /// informed-count probe. Non-owning. Null = detached.
   obs::Telemetry* telemetry = nullptr;

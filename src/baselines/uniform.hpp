@@ -36,9 +36,6 @@ struct UniformOptions {
   /// Initiators per phase-1 shard when threads >= 1 (0 = the default width;
   /// part of the sharded determinism contract - see sim/parallel/shard.hpp).
   std::uint32_t shard_size = 0;
-  /// Receiver buckets for the delivery phases (0 = the engine's auto
-  /// default; Engine::set_delivery_buckets). Trajectory-invariant.
-  std::uint32_t delivery_buckets = 0;
   /// Fault scenario on the run's round timeline (sim/fault.hpp). Non-owning;
   /// the caller invokes on_run_begin itself. Null = fault-free. With mid-run
   /// crashes the oracle stop condition ("every alive node informed") is

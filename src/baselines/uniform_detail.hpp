@@ -71,9 +71,8 @@ template <class IsInformed>
 /// whole run; it may be any static-dispatch hooks type (see sim/engine.hpp),
 /// so each baseline's per-round work is resolved at compile time.
 /// `options.threads` >= 1 opts the run into the sharded phase-1 executor
-/// (at options.shard_size); options.delivery_buckets != 0 pins the delivery
-/// decomposition. `options.fault` (nullable) is installed on the engine's
-/// round timeline; its on_run_begin is the caller's job.
+/// (at options.shard_size). `options.fault` (nullable) is installed on the
+/// engine's round timeline; its on_run_begin is the caller's job.
 template <class MakeHooks>
 core::BroadcastReport run_until_informed(sim::Network& net, std::uint32_t source,
                                          unsigned max_rounds,
@@ -83,7 +82,6 @@ core::BroadcastReport run_until_informed(sim::Network& net, std::uint32_t source
   GOSSIP_CHECK_MSG(net.alive(source), "source node must be alive");
   sim::Engine engine(net);
   if (options.threads) engine.set_threads(options.threads, options.shard_size);
-  if (options.delivery_buckets) engine.set_delivery_buckets(options.delivery_buckets);
   engine.set_fault_model(options.fault);
   // Capacity-sized (== n for join-free networks): joiners arriving mid-run
   // are valid receivers from their join round on, and start uninformed.

@@ -45,9 +45,6 @@ Driver::Driver(sim::Engine& engine, Options opts)
   if (opts_.threads && engine_.threads() != opts_.threads) {
     engine_.set_threads(opts_.threads, opts_.shard_size);
   }
-  if (opts_.delivery_buckets) {
-    engine_.set_delivery_buckets(opts_.delivery_buckets);
-  }
   if (opts_.telemetry != nullptr) {
     engine_.set_telemetry(opts_.telemetry);
   }

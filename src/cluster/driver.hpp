@@ -37,10 +37,6 @@ struct DriverOptions {
   /// Initiators per phase-1 shard when threads >= 1 (0 = the default width;
   /// part of the sharded determinism contract - see sim/parallel/shard.hpp).
   std::uint32_t shard_size = 0;
-  /// Receiver buckets for the delivery phases (0 = leave the engine's
-  /// decomposition alone; Engine::set_delivery_buckets).
-  /// Trajectory-invariant.
-  std::uint32_t delivery_buckets = 0;
   /// Observability handle attached to the engine before the first primitive
   /// runs (Engine::set_telemetry; null = leave the engine's attachment
   /// alone). The driver additionally posts one verdict-summary event per

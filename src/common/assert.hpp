@@ -12,9 +12,9 @@
 // GOSSIP_DCHECK fires only in audit builds (-DGOSSIP_AUDIT=ON, which defines
 // GOSSIP_AUDIT and _GLIBCXX_ASSERTIONS): it arms the documented
 // bounds-check-free and order-sensitive hot-path sites - the provenance
-// tracer's armed-capacity claim, delivery-bucket ranges, FlatIdIndex probe
-// termination, the sharded/bucketed merge preconditions - whose per-contact
-// cost is deliberately not paid in Release. Audit failures throw the same
+// tracer's armed-capacity claim, FlatIdIndex probe termination, the
+// push/response stream decode bounds, the sharded merge preconditions -
+// whose per-contact cost is deliberately not paid in Release. Audit failures throw the same
 // ContractViolation, so tests/test_contracts.cpp can pin that each planted
 // check actually fires. In non-audit builds GOSSIP_DCHECK compiles to
 // nothing at all (the condition is not even evaluated); helper state that

@@ -58,7 +58,6 @@ BroadcastReport broadcast(sim::Network& net, const BroadcastOptions& options) {
   driver_opts.validate = options.validate;
   driver_opts.threads = options.threads;
   driver_opts.shard_size = options.shard_size;
-  driver_opts.delivery_buckets = options.delivery_buckets;
   driver_opts.telemetry = options.telemetry;
 
   switch (options.algorithm) {

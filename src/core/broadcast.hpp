@@ -47,10 +47,6 @@ struct BroadcastOptions {
   /// Initiators per phase-1 shard when threads >= 1 (0 = default width;
   /// plumbed to DriverOptions.shard_size).
   std::uint32_t shard_size = 0;
-  /// Receiver buckets for the delivery phases (0 = the engine's auto
-  /// default; plumbed to DriverOptions.delivery_buckets).
-  /// Trajectory-invariant.
-  std::uint32_t delivery_buckets = 0;
   /// Fault scenario on the run's round timeline (scheduled crashes, lossy
   /// channels; see sim/fault.hpp). Non-owning - must outlive the call. The
   /// caller invokes on_run_begin itself (faults and seeding are harness

@@ -33,9 +33,9 @@
 // randomness flows through the engine's draw path and the network's
 // node_rng streams, and every local decision (suspicion counters, watchdog
 // arithmetic) is a pure function of delivered messages. Recovery
-// trajectories are therefore bit-identical across TrialRunner workers,
-// engine threads and delivery buckets, like every other layer. Re-election
-// and fallback handoffs post kReelect/kFallback events to the EventLog.
+// trajectories are therefore bit-identical across TrialRunner workers
+// and engine threads, like every other layer. Re-election and fallback
+// handoffs post kReelect/kFallback events to the EventLog.
 #pragma once
 
 #include <cstdint>

@@ -9,7 +9,7 @@
 namespace gossip::core {
 
 Cluster2Schedule compute_cluster2_schedule(std::uint64_t n, const Cluster2Options& opts) {
-  GOSSIP_CHECK(n >= 16);
+  GOSSIP_CHECK(n >= kCluster2MinN);
   Cluster2Schedule s;
   const double log_n = std::max(2.0, log2d(n));
 
@@ -55,7 +55,9 @@ Cluster2Schedule compute_cluster2_schedule(std::uint64_t n, const Cluster2Option
 
 Cluster3Schedule compute_cluster3_schedule(std::uint64_t n, std::uint64_t delta,
                                            const Cluster3Options& opts) {
-  GOSSIP_CHECK_MSG(delta >= 16, "Cluster3 needs Delta >= 16 (paper: Delta = log^omega(1) n)");
+  GOSSIP_CHECK_MSG(delta >= kCluster3MinDelta,
+                   "Cluster3 needs Delta >= " << kCluster3MinDelta
+                                              << " (paper: Delta = log^omega(1) n)");
   GOSSIP_CHECK_MSG(delta <= n, "Delta cannot exceed n");
   Cluster3Schedule s;
   const double log_n = std::max(2.0, log2d(n));

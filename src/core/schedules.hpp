@@ -12,6 +12,14 @@
 
 namespace gossip::core {
 
+/// Smallest network the Cluster2 schedule (and so Cluster3's, which builds
+/// on it) is defined for; compute_cluster2_schedule requires n >= this.
+inline constexpr std::uint64_t kCluster2MinN = 16;
+
+/// Smallest Delta the Cluster3 schedule accepts (paper: Delta =
+/// log^omega(1) n); compute_cluster3_schedule also requires Delta <= n.
+inline constexpr std::uint64_t kCluster3MinDelta = 16;
+
 /// Concrete Cluster2 schedule for an n-node network.
 struct Cluster2Schedule {
   std::uint64_t threshold = 0;   ///< grow-phase cluster size cap (paper: C' log^3 n)

@@ -48,7 +48,6 @@ core::BroadcastReport run_membership(sim::Network& net, std::uint32_t seed_node,
 
   sim::Engine engine(net);
   if (options.threads) engine.set_threads(options.threads, options.shard_size);
-  if (options.delivery_buckets) engine.set_delivery_buckets(options.delivery_buckets);
   engine.set_fault_model(options.fault);
 
   // last heard FIRST-HAND-or-discounted, one sparse row per listener:

@@ -35,8 +35,8 @@
 // Determinism: digests are sampled from per-(node, round) forked streams,
 // state mutations in delivery hooks touch only the receiving node's own
 // row, and respond() is pure per (responder, round) - so membership
-// trajectories are bit-identical across engine thread counts, delivery
-// bucket counts and trial workers, churn included.
+// trajectories are bit-identical across engine thread counts and trial
+// workers, churn included.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,6 @@ struct MembershipOptions {
   unsigned digest_ids = 0;
   unsigned threads = 0;            ///< sharded phase-1 executor (0 = serial)
   std::uint32_t shard_size = 0;    ///< shard width when threads >= 1
-  std::uint32_t delivery_buckets = 0;  ///< engine delivery decomposition
   sim::FaultModel* fault = nullptr;    ///< non-owning; on_run_begin is the caller's job
   /// Observability handle attached to the run's engine (src/obs/); the
   /// service installs a per-round probe exporting the mean network-size

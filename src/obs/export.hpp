@@ -56,7 +56,7 @@ void write_events_jsonl(std::ostream& os,
 /// Only nodes the tracer saw informed are emitted; `depth` is the
 /// informer-chain distance from the seed (obs::spread_depths). Content is
 /// receiver-local and delivery-order-invariant, so the whole file is
-/// covered by the workers x engine-threads x buckets determinism contract.
+/// covered by the workers x engine-threads determinism contract.
 void write_provenance_jsonl(std::ostream& os,
                             const std::vector<const Telemetry*>& trials,
                             const ExportOptions& options = {});

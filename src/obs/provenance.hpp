@@ -8,10 +8,9 @@
 //
 // Determinism: first-inform is receiver-local. The engine's delivery phases
 // already fix a per-receiver delivery order that is invariant across
-// engine threads and delivery buckets (README "Determinism contracts"), so
-// the FIRST rumor-bearing delivery a node sees - and hence the recorded
-// triple - is bit-identical across TrialRunner workers x engine threads x
-// delivery buckets. The tracer itself is order-insensitive only in the
+// engine threads (README "Determinism contracts"), so the FIRST
+// rumor-bearing delivery a node sees - and hence the recorded triple - is
+// bit-identical across TrialRunner workers x engine threads. The tracer itself is order-insensitive only in the
 // trivial sense (first write wins); it relies on the engine replaying
 // deliveries in that pinned order.
 //

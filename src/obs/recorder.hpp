@@ -9,8 +9,8 @@
 //
 // Determinism contract (README "Observability"): for a fixed scenario spec,
 // recorded round content and event content are bit-identical across
-// TrialRunner worker counts, sharded engine thread counts (>= 1), and
-// delivery bucket counts. The wall-clock fields (phase*_ns) are the ONLY
+// TrialRunner worker counts and sharded engine thread counts (>= 1). The
+// wall-clock fields (phase*_ns) are the ONLY
 // exception - they are excluded from the contract, and the exporters can
 // strip them (ExportOptions::timing / tools/strip_timing.py).
 #pragma once

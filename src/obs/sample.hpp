@@ -3,8 +3,8 @@
 // Per-contact loss drops (and byzantine corruptions) can number in the
 // millions per round; the event log keeps at most kEventSampleCap of them
 // per round. The sample must be part of the determinism contract - the SAME
-// events must survive for every engine thread count and delivery bucket
-// count - so a classic streaming reservoir (whose survivors depend on
+// events must survive for every engine thread count and shard
+// decomposition - so a classic streaming reservoir (whose survivors depend on
 // arrival order) is out. Instead each candidate gets a priority that is a
 // pure function of (round key, node), and the sample is the k candidates
 // with the SMALLEST priorities. Priorities are iid-uniform hashes, so the

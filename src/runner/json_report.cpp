@@ -34,8 +34,7 @@ void write_scenario_members(JsonWriter& w, const ScenarioResult& result) {
   w.kv("seed", s.seed);
   w.kv("engine_threads", std::uint64_t{s.engine_threads});
   // shard_size is identity when sharded (it re-keys the shard draw
-  // streams); delivery_buckets is deliberately NOT echoed - see
-  // runner/scenario.hpp.
+  // streams).
   w.kv("shard_size", std::uint64_t{s.shard_size});
   w.kv("rumor_bits", s.rumor_bits);
   w.kv("delta", s.delta);

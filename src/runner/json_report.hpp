@@ -19,11 +19,9 @@
 // tracer (obs/provenance.hpp): "spread_depth" (max informer-chain depth)
 // and "direct_share" (direct-addressed fraction of first-informs).
 //
-// The spec's `threads` (TrialRunner worker count) and `delivery_buckets`
-// (receiver-bucketed delivery decomposition) are deliberately NOT echoed:
-// the runner's contract is that this report is bit-identical for every
-// worker count AND every bucket count, and CI enforces both by diffing
-// runs. "peak_rss_bytes" is the one wall-clock-class exception - it is
+// The spec's `threads` (TrialRunner worker count) is deliberately NOT
+// echoed: the runner's contract is that this report is bit-identical for
+// every worker count, and CI enforces it by diffing runs. "peak_rss_bytes" is the one wall-clock-class exception - it is
 // process-wide and machine-dependent, so tools/strip_timing.py removes it
 // (together with every *_ns field) before those diffs.
 #pragma once

@@ -22,7 +22,6 @@ core::BroadcastReport run_core(sim::Network& net, std::uint32_t source,
   o.delta = spec.delta;
   o.threads = spec.engine_threads;
   o.shard_size = spec.shard_size;
-  o.delivery_buckets = spec.delivery_buckets;
   o.fault_model = fault;
   o.telemetry = telemetry;
   o.recovery.enabled = spec.recovery;
@@ -36,7 +35,6 @@ baselines::UniformOptions uniform_opts(const ScenarioSpec& spec, sim::FaultModel
   o.max_rounds = spec.max_rounds;
   o.threads = spec.engine_threads;
   o.shard_size = spec.shard_size;
-  o.delivery_buckets = spec.delivery_buckets;
   o.fault = fault;
   o.telemetry = telemetry;
   return o;
@@ -76,7 +74,6 @@ const std::vector<AlgorithmEntry>& algorithms() {
          cluster::DriverOptions driver_opts;
          driver_opts.threads = spec.engine_threads;
          driver_opts.shard_size = spec.shard_size;
-         driver_opts.delivery_buckets = spec.delivery_buckets;
          driver_opts.telemetry = telemetry;
          baselines::AvinElsasser algo(engine, baselines::AvinElsasserOptions(),
                                       driver_opts);
@@ -90,7 +87,6 @@ const std::vector<AlgorithmEntry>& algorithms() {
          baselines::RrsOptions o;
          o.max_rounds = spec.max_rounds;
          o.fault = fault;
-         o.delivery_buckets = spec.delivery_buckets;
          o.telemetry = telemetry;
          return baselines::run_rrs(net, source, o);
        }},
@@ -122,7 +118,6 @@ const std::vector<AlgorithmEntry>& algorithms() {
          o.rounds = spec.max_rounds;  // 0 = auto horizon
          o.threads = spec.engine_threads;
          o.shard_size = spec.shard_size;
-         o.delivery_buckets = spec.delivery_buckets;
          o.fault = fault;
          o.telemetry = telemetry;
          return membership::run_membership(net, source, o);

@@ -10,7 +10,7 @@
 
 #include "common/assert.hpp"
 #include "common/math.hpp"
-#include "sim/push_queue.hpp"  // kMaxDeliveryBuckets
+#include "core/schedules.hpp"
 
 namespace gossip::runner {
 
@@ -270,13 +270,11 @@ void ScenarioSpec::apply(std::string_view key, std::string_view value) {
     engine_threads = static_cast<unsigned>(parse_count(key, value, 0, 256));
   } else if (key == "shard_size") {
     shard_size = static_cast<std::uint32_t>(parse_count(key, value, 0, 1u << 20));
-  } else if (key == "delivery_buckets") {
-    delivery_buckets = static_cast<std::uint32_t>(
-        parse_count(key, value, 0, sim::kMaxDeliveryBuckets));
   } else if (key == "rumor_bits") {
     rumor_bits = static_cast<std::uint32_t>(parse_count(key, value, 1, 1u << 30));
   } else if (key == "delta") {
-    delta = parse_count(key, value, 16, std::numeric_limits<std::uint64_t>::max());
+    delta = parse_count(key, value, core::kCluster3MinDelta,
+                        std::numeric_limits<std::uint64_t>::max());
   } else if (key == "max_rounds") {
     max_rounds = static_cast<unsigned>(parse_count(key, value, 0, 1u << 30));
   } else if (key == "fault_fraction") {
@@ -374,6 +372,23 @@ void ScenarioSpec::validate() const {
   if (algorithm.empty()) throw ScenarioError("scenario has no algorithm");
   if (n < 2) throw ScenarioError("scenario needs n >= 2");
   if (trials < 1) throw ScenarioError("scenario needs trials >= 1");
+  // The Cluster2/Cluster3 round schedules (core/schedules.hpp) are defined
+  // only on these ranges; reject outside them here instead of tripping the
+  // schedule's own precondition mid-trial.
+  if ((algorithm == "cluster2" || algorithm == "cluster3_push_pull") &&
+      n < core::kCluster2MinN) {
+    std::ostringstream os;
+    os << "algorithm '" << algorithm << "' needs n >= " << core::kCluster2MinN
+       << " (its round schedule is undefined below that); got n = " << n;
+    throw ScenarioError(os.str());
+  }
+  if (algorithm == "cluster3_push_pull" &&
+      (delta < core::kCluster3MinDelta || delta > n)) {
+    std::ostringstream os;
+    os << "algorithm 'cluster3_push_pull' needs " << core::kCluster3MinDelta
+       << " <= delta <= n; got delta = " << delta << ", n = " << n;
+    throw ScenarioError(os.str());
+  }
   if (fault_count() >= n) {
     throw ScenarioError("fault_fraction leaves no alive node");
   }
@@ -591,7 +606,7 @@ const std::vector<std::string>& ScenarioSpec::keys() {
   static const std::vector<std::string> kKeys = {
       "name",       "algorithm",  "n",          "trials",
       "seed",       "threads",    "engine_threads", "shard_size",
-      "delivery_buckets", "rumor_bits",
+      "rumor_bits",
       "delta",      "max_rounds", "fault_fraction", "fault_strategy",
       "crash_round", "loss_prob", "fault_model",
       "join_rate",  "crash_rate", "churn_schedule", "loss_schedule",

@@ -99,12 +99,6 @@ struct ScenarioSpec {
   /// width). Part of the experiment identity when sharded (it re-keys the
   /// shard draw streams) and echoed in the report.
   std::uint32_t shard_size = 0;
-  /// Receiver buckets for the engine's delivery phases (0 = engine auto,
-  /// 1 = flat, <= sim::kMaxDeliveryBuckets). Like `threads`, deliberately
-  /// NOT part of the experiment identity and never echoed in the JSON
-  /// report: delivery content is bucket-invariant, and CI diffs bucketed
-  /// vs. flat runs byte-for-byte to enforce exactly that.
-  std::uint32_t delivery_buckets = 0;
   std::uint32_t rumor_bits = 256;  ///< payload size b
   std::uint64_t delta = 1024;      ///< communication bound (cluster3_push_pull)
   unsigned max_rounds = 0;         ///< round-schedule cap for uniform/rrs (0 = auto)

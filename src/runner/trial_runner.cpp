@@ -68,7 +68,7 @@ core::BroadcastReport TrialRunner::run_trial(const ScenarioSpec& spec,
     // Dispersion-tree shape of this trial's spread (obs/provenance.hpp).
     // Derived from the tracer's first-inform records, which are receiver-
     // local and delivery-order-invariant, so these two metrics inherit the
-    // full workers x engine-threads x buckets determinism contract.
+    // full workers x engine-threads determinism contract.
     const obs::SpreadMetrics sm = obs::spread_metrics(telemetry->provenance);
     report.spread_depth = static_cast<double>(sm.depth);
     report.direct_share = sm.direct_share;

@@ -12,15 +12,9 @@ Engine::Engine(Network& net, bool keep_history)
   std::iota(all_nodes_.begin(), all_nodes_.end(), 0u);
   // Receiver-indexed state is sized to the network's pre-reserved capacity
   // (== n for join-free networks): mid-run joins extend the initiator list
-  // (sync_network_growth) but never reallocate or re-partition delivery
-  // state, so the bucket decomposition and the pull stamps stay stable
-  // while n moves.
+  // (sync_network_growth) but never reallocate delivery state, so the pull
+  // stamps stay stable while n moves.
   pull_stamp_.resize(net.capacity());
-  // Default delivery decomposition: auto (currently the flat sweep, so
-  // default rounds run exactly the PR 4 order). See set_delivery_buckets
-  // and make_bucket_map.
-  delivery_map_ = make_bucket_map(net.capacity(), requested_buckets_);
-  pushes_.configure(delivery_map_);
 }
 
 void Engine::sync_network_growth() {

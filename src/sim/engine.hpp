@@ -31,23 +31,12 @@
 // per-responder response cache (evaluate-all-then-deliver snapshot
 // semantics) - no sorting, no allocation after warm-up.
 //
-// Receiver-bucketed delivery (PR 5). Phases 2-3 probe receiver-indexed
-// state (hook targets, KnowledgeTracker rows, the pull-response stamps)
-// once per contact - a random DRAM miss each at multi-million n. The engine
-// therefore partitions receivers into contiguous power-of-two buckets
-// (sim/push_queue.hpp BucketMap; set_delivery_buckets, 0 = auto - currently
-// the flat sweep, see make_bucket_map - 1 = flat): phase 1 routes pending pushes into per-bucket
-// streams and phase 3 groups pull requests by responder bucket, so the
-// delivery sweeps touch one cache-resident slice of receiver state at a
-// time. Delivery CONTENT is bucket-invariant by construction - a receiver
-// lives in exactly one bucket, so its own delivery sequence, the metrics,
-// the learned knowledge sets and the response every requester sees are
-// bit-identical for every bucket count (tests/test_delivery_buckets.cpp
-// pins {1, 4, 64}); what changes is only the interleaving of hook calls
-// ACROSS receivers (phase-2 on_push runs bucket-major instead of global
-// initiator order, respond() evaluates in responder-bucket order instead of
-// first-pull order). on_pull_reply delivery stays in requester (initiator)
-// order under every bucket count.
+// Delivery order. A round's calls are simultaneous (paper Section 2), so
+// the order in which DIFFERENT receivers are served cannot be observed;
+// the engine still fixes one order so every hook sequence is reproducible.
+// Phase 2 calls on_push in global initiator (= enqueue) order. Phase 3
+// evaluates respond() in first-pull order and calls on_pull_reply in
+// requester (= initiator) order.
 //
 // Threading model (sim/parallel). set_threads(k) with k >= 1 - or
 // constructing a parallel::ParallelEngine - replaces the serial phase-1
@@ -66,19 +55,8 @@
 //     phase 1 completes (truly-simultaneous-calls semantics); the serial
 //     path applies it incrementally in initiator order. The learned SETS
 //     are identical; only mid-phase-1 reads could tell the difference.
-// Phases 2-3 run serially on the calling thread by default, in the
-// deterministic orders documented above. set_parallel_delivery(true)
-// additionally fans the delivery sweeps of a sharded engine over the same
-// pool, one receiver bucket per work item (pass B of phase 3 splits at
-// requester-bucket boundaries): because buckets PARTITION the receivers and
-// per-bucket metrics deltas merge in bucket order, results stay
-// bit-identical for every thread count. The hook contract tightens in this
-// mode: respond / on_push / on_pull_reply may run concurrently for nodes in
-// DIFFERENT buckets and must only touch that node's own state (every
-// algorithm in this repo qualifies except through shared tallies - which is
-// why this stays opt-in). With knowledge tracking enabled the engine
-// silently keeps the delivery phases serial (the tracker's spill arena is
-// shared across rows), still bucketed; semantics are unchanged either way.
+// Phases 2-3 always run on the calling thread, in the fixed orders above,
+// whatever the thread count; only initiate() ever runs concurrently.
 //
 // Fault timeline (sim/fault.hpp). set_fault_model(m) installs a pluggable
 // fault scenario the engine consults per round: before each round it calls
@@ -104,14 +82,14 @@
 // Churn (PR 6). The alive set is no longer monotone: fault models (and
 // callers) may also Network::join() mid-run, up to the capacity the network
 // pre-reserved at construction (NetworkOptions::max_nodes). All
-// receiver-indexed engine state - metrics, pull stamps, the delivery bucket
-// map - is sized to that capacity up front, so joins never reallocate or
-// re-partition anything; at each round begin (after the fault model's
-// on_round_begin, where scheduled joins fire) the engine folds growth in by
-// extending the all-nodes initiator list and discarding carried-over
-// uniform draws taken against the old bound (sync_network_growth). Join
+// receiver-indexed engine state - metrics, pull stamps - is sized to that
+// capacity up front, so joins never reallocate anything; at each round
+// begin (after the fault model's on_round_begin, where scheduled joins
+// fire) the engine folds growth in by extending the all-nodes initiator
+// list and discarding carried-over uniform draws taken against the old
+// bound (sync_network_growth). Join
 // order is part of the round timeline, so trajectories stay bit-identical
-// across executors, thread counts and delivery bucket counts.
+// across executors and thread counts.
 //
 // Byzantine responders (sim/fault.hpp ByzantineResponder). When the fault
 // model reports has_byzantine(), each traitor's pull response is rewritten
@@ -446,41 +424,6 @@ class Engine {
   /// Worker count of the sharded executor, or 0 in serial mode.
   [[nodiscard]] unsigned threads() const noexcept { return par_ ? par_->threads() : 0; }
 
-  /// Receiver-bucket decomposition of the delivery phases (see the bucketing
-  /// notes above). `requested` 0 = auto (currently the flat sweep - the
-  /// prefetched linear probe wins at every measured n, see make_bucket_map),
-  /// 1 = flat, otherwise the bucket count is the largest power-of-two
-  /// partition not exceeding the request. Delivery content, metrics and
-  /// knowledge are bit-identical for every value; only cross-receiver hook
-  /// interleaving changes. Takes effect from the next round; consumes no
-  /// randomness, so toggling it never re-keys a trajectory.
-  void set_delivery_buckets(std::uint32_t requested) {
-    GOSSIP_CHECK_MSG(requested <= kMaxDeliveryBuckets,
-                     "delivery_buckets must be in [0, " << kMaxDeliveryBuckets
-                                                        << "] (0 = auto)");
-    requested_buckets_ = requested;
-    // Partitioned over the pre-reserved capacity (== n when joins are off),
-    // so the decomposition never shifts when joiners arrive mid-run.
-    delivery_map_ = make_bucket_map(net_.capacity(), requested);
-    pushes_.configure(delivery_map_);
-  }
-  /// The requested bucket knob (0 = auto), not the resolved count.
-  [[nodiscard]] std::uint32_t delivery_buckets() const noexcept {
-    return requested_buckets_;
-  }
-  /// Buckets the current decomposition resolves to (>= 1).
-  [[nodiscard]] std::uint32_t delivery_bucket_count() const noexcept {
-    return delivery_map_.count;
-  }
-
-  /// Opt-in: run phases 2-3 of a sharded engine on its thread pool, one
-  /// receiver bucket per work item (see the Threading model notes for the
-  /// tightened hook contract). No effect in serial mode, with a flat bucket
-  /// map, or while knowledge tracking is enabled - those rounds keep the
-  /// serial bucketed sweep. Results are bit-identical either way.
-  void set_parallel_delivery(bool on) noexcept { parallel_delivery_ = on; }
-  [[nodiscard]] bool parallel_delivery() const noexcept { return parallel_delivery_; }
-
   /// Wall-clock seconds accumulated per engine phase across run_round calls
   /// while set_phase_timing(true) is active (bench_engine_throughput's
   /// breakdown). Off by default: the hot loop then pays one predicted
@@ -502,9 +445,7 @@ class Engine {
   /// the fault timeline (joins/crashes via the network observer this call
   /// installs, sampled loss drops, byzantine corruptions), and phase clocks
   /// are read regardless of set_phase_timing. Detached costs one pointer
-  /// null-check per round - no virtual call sits in any phase loop. While
-  /// attached, a sharded engine keeps its delivery phases serial (like
-  /// knowledge tracking does): corruption events are noted inside pass A.
+  /// null-check per round - no virtual call sits in any phase loop.
   /// Non-owning; the handle must outlive every subsequent run_round.
   void set_telemetry(obs::Telemetry* telemetry) noexcept {
     telemetry_ = telemetry;
@@ -672,14 +613,6 @@ class Engine {
     }
   }
 
-  /// One direction of learn_contact, for the sharded merge's split replay
-  /// (initiator side in shard order, target side in receiver-bucket order).
-  void learn_one_sided(std::uint32_t learner, std::uint32_t partner) {
-    if (auto* k = net_.knowledge()) {
-      k->learn(learner, net_.id_of(partner), net_.id_of(learner));
-    }
-  }
-
   /// Phase 2 body for one pending-push queue: decode, learn, deliver.
   /// Provenance never touches this loop - push first-informs were already
   /// recorded as enqueue-time candidates by the phase-1 sinks and applied
@@ -729,28 +662,12 @@ class Engine {
       const std::size_t lo = s * static_cast<std::size_t>(shard_size);
       const std::size_t len =
           std::min<std::size_t>(shard_size, initiators.size() - lo);
-      sb.begin_round(par.stream_base(), round_key, s, len, delivery_map_,
-                     shard_tracer, sample_cap);
+      sb.begin_round(par.stream_base(), round_key, s, len, shard_tracer, sample_cap);
       parallel::ShardSink sink{sb, draw_bound, want_endpoints};
       detail::run_phase1(net_, hooks, sink, initiators.subspan(lo, len), no_failures,
                          want_payloads, loss, partition, tolerate_unknown);
     });
-    // Deterministic merge. The initiator-side endpoint replay runs in shard
-    // (= global initiator) order; the target side is routed into receiver
-    // buckets and replayed bucket-by-bucket, turning the per-contact random
-    // probe of the involvement counters and the target's knowledge row into
-    // a cache-resident sweep. Learned sets and Delta are order-insensitive
-    // (set inserts; monotone counters under a running max), so the split
-    // replay is bit-identical to the old per-endpoint interleaving.
-    const bool bucket_endpoints = want_endpoints && !delivery_map_.flat();
-    if (bucket_endpoints) {
-      if (endpoint_buckets_.size() < delivery_map_.count) {
-        endpoint_buckets_.resize(delivery_map_.count);
-      }
-      for (std::uint32_t b = 0; b < delivery_map_.count; ++b) {
-        endpoint_buckets_[b].clear();
-      }
-    }
+    // Deterministic merge in shard (= global initiator) order.
     for (const parallel::ShardBuffer& sb : shards) {
       // Shard deltas are additive counters only: involvement (a running max
       // over GLOBAL per-node counts) must be left to the replay below, or
@@ -765,15 +682,9 @@ class Engine {
       }
       if (want_endpoints) {
         for (const auto& [a, b] : sb.endpoints) {
-          if (bucket_endpoints) {
-            learn_one_sided(a, b);
-            metrics_.record_involvement(a);
-            endpoint_buckets_[delivery_map_.bucket_of(b)].emplace_back(a, b);
-          } else {
-            learn_contact(a, b);
-            metrics_.record_involvement(a);
-            metrics_.record_involvement(b);
-          }
+          learn_contact(a, b);
+          metrics_.record_involvement(a);
+          metrics_.record_involvement(b);
         }
       }
       // The flat pending-pull buffer was sized for one pull per offered
@@ -784,20 +695,12 @@ class Engine {
       std::copy(sb.pulls.begin(), sb.pulls.end(), pulls_.begin() + pull_count_);
       pull_count_ += sb.pulls.size();
     }
-    if (bucket_endpoints) {
-      for (std::uint32_t bucket = 0; bucket < delivery_map_.count; ++bucket) {
-        for (const auto& [a, b] : endpoint_buckets_[bucket]) {
-          learn_one_sided(b, a);
-          metrics_.record_involvement(b);
-        }
-      }
-    }
   }
 
   Network& net_;
   MetricsCollector metrics_;
   // Scratch buffers reused across rounds.
-  BucketedPushQueue pushes_;  ///< serial-mode pending pushes (sharded: per shard)
+  PushQueue pushes_;  ///< serial-mode pending pushes (sharded: per shard)
   std::vector<PendingPull> pulls_;  ///< flat slots; pull_count_ are filled
   std::size_t pull_count_ = 0;
   // Serial sink's first-inform candidates for the round's armed tracer
@@ -809,22 +712,13 @@ class Engine {
   // Bulk uniform-target draws (ring of kDrawBatch, refilled on demand).
   std::vector<std::uint32_t> draw_buf_;
   std::size_t draw_pos_ = 0;
-  // Receiver-bucket decomposition of the delivery phases (see above).
-  BucketMap delivery_map_;
-  std::uint32_t requested_buckets_ = 0;  ///< the knob; 0 = auto
-  bool parallel_delivery_ = false;
-  // Phase-3 state. Pass A groups the pending pulls by responder bucket
-  // (pull_refs_), evaluates each responder's single response into its
-  // bucket's compact ResponseStore (epoch-stamped by byte offset via
-  // pull_stamp_), meters every pull from the store's headers and records
-  // the per-pull response offset. Pass B sweeps pulls_/response_of_
-  // sequentially in requester (initiator) order, decoding on the fly - it
-  // runs at all only when knowledge tracking or an on_pull_reply hook
-  // consumes the message.
-  struct PullRef {
-    std::uint32_t responder;
-    std::uint32_t index;  ///< position in pulls_ / response_of_
-  };
+  // Phase-3 state. Pass A walks the pending pulls in order, evaluates each
+  // responder's single response into the compact ResponseStore
+  // (epoch-stamped by byte offset via pull_stamp_), meters every pull from
+  // the store's headers and records the per-pull response offset. Pass B
+  // sweeps pulls_/response_of_ sequentially in requester (initiator) order,
+  // decoding on the fly - it runs at all only when knowledge tracking or an
+  // on_pull_reply hook consumes the message.
   /// Per-responder evaluation state, 16 bytes so the epoch stamp and the
   /// cached response's metering share one cache line: a repeated pull pays
   /// exactly ONE random probe (prefetched ahead in the eval loop) instead
@@ -833,17 +727,10 @@ class Engine {
     std::uint64_t stamp = 0;  ///< epoch << 32 | response byte offset
     std::uint64_t meter = 0;  ///< response bits << 1 | has_payload
   };
-  std::vector<std::vector<PullRef>> pull_refs_;
   std::vector<std::uint32_t> response_of_;  ///< per-pull response byte offset
-  std::vector<ResponseStore> response_stores_;  ///< one per receiver bucket
+  ResponseStore response_store_;
   std::vector<PullStamp> pull_stamp_;
   std::uint32_t pull_epoch_ = 0;
-  // Pool-execution scratch: per-bucket pass-A metering deltas (merged in
-  // bucket order) and pass-B requester-chunk bounds.
-  std::vector<RoundStats> bucket_deltas_;
-  std::vector<std::size_t> pull_chunk_bounds_;
-  // Sharded-merge scratch: contact endpoints routed by target bucket.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> endpoint_buckets_;
   // Phase timing (off by default; see PhaseTimes).
   bool time_phases_ = false;
   PhaseTimes phase_times_;
@@ -1003,38 +890,18 @@ void Engine::run_round_impl(Hooks&& hooks, std::span<const std::uint32_t> initia
     }
   }
 
-  // Delivery phases run on the pool only when explicitly opted in, the
-  // receiver space is genuinely partitioned, and nothing thread-unsafe is
-  // shared: knowledge learning funnels every row through one spill arena,
-  // so tracked rounds keep the serial (still bucketed) sweep.
-  // Telemetry keeps delivery serial too: pass A notes byzantine corruptions
-  // into the (unsynchronized) event log, the same way knowledge tracking
-  // funnels rows through one arena.
-  const bool pool_delivery = parallel_delivery_ && sharded && !track &&
-                             !delivery_map_.flat() && telemetry_ == nullptr;
-
-  // ---- Phase 2: deliver pushes, bucket-major. ----------------------------
+  // ---- Phase 2: deliver pushes in initiator order. -----------------------
   // The byte stream(s) are decoded back into a (stack-local) Message per
-  // delivery; hooks must not retain the reference beyond the call. Buckets
-  // replay in index order; within a bucket, sharded rounds replay the
-  // per-shard streams in shard order - so every receiver sees its
-  // deliveries in global initiator order under any bucket/shard count.
+  // delivery; hooks must not retain the reference beyond the call. Sharded
+  // rounds replay the per-shard streams in shard order, so every receiver
+  // sees its deliveries in global initiator order under any shard count.
   if (track || HasOnPushHook<H>) {
-    std::span<parallel::ShardBuffer> shards;
-    if (sharded) shards = par_->acquire(active_shards_);
-    const auto deliver_bucket = [&](std::size_t b) {
-      if (sharded) {
-        for (const parallel::ShardBuffer& sb : shards) {
-          deliver_queue(sb.pushes.bucket(static_cast<std::uint32_t>(b)), hooks, track);
-        }
-      } else {
-        deliver_queue(pushes_.bucket(static_cast<std::uint32_t>(b)), hooks, track);
+    if (sharded) {
+      for (const parallel::ShardBuffer& sb : par_->acquire(active_shards_)) {
+        deliver_queue(sb.pushes, hooks, track);
       }
-    };
-    if (pool_delivery) {
-      par_->pool().parallel_for(delivery_map_.count, deliver_bucket);
     } else {
-      for (std::size_t b = 0; b < delivery_map_.count; ++b) deliver_bucket(b);
+      deliver_queue(pushes_, hooks, track);
     }
   }
 
@@ -1042,135 +909,67 @@ void Engine::run_round_impl(Hooks&& hooks, std::span<const std::uint32_t> initia
 
   // ---- Phase 3: answer pulls, one address-oblivious response per node. ---
   // Two O(m) passes, no sort, no allocation after warm-up. Pass A walks the
-  // pending pulls by RESPONDER bucket: the first pull that reaches a
-  // responder evaluates its (one) response into the bucket's compact
-  // ResponseStore and epoch-stamps the responder with the entry's byte
-  // offset; later pulls meter the cached entry from its 2-byte header. ALL
-  // pull-response metering happens here (additive counters, so the order
-  // within the round cannot change the totals), and each pull records its
-  // response offset for the deliver pass. Pass B - skipped entirely when
-  // neither knowledge tracking nor an on_pull_reply hook consumes the
-  // message - delivers in requester (= initiator) order, decoding each
-  // response from the store on the fly. Evaluating EVERY response before
-  // delivering ANY reply gives synchronous-round snapshot semantics: a
-  // response reflects the post-push, pre-reply state, independent of pull
-  // arrival order. (The seed executor interleaved respond with deliveries
-  // in sorted-responder order, so its same-seed trajectories differ; see
-  // CHANGES.md.) With no respond hook every answer is Empty, so the phase
-  // only runs when a hook observes it.
+  // pending pulls in order: the first pull that reaches a responder
+  // evaluates its (one) response into the compact ResponseStore and
+  // epoch-stamps the responder with the entry's byte offset; later pulls
+  // meter the cached entry from its 2-byte header. ALL pull-response
+  // metering happens here (additive counters, so the order within the round
+  // cannot change the totals), and each pull records its response offset
+  // for the deliver pass. Pass B - skipped entirely when neither knowledge
+  // tracking nor an on_pull_reply hook consumes the message - delivers in
+  // requester (= initiator) order, decoding each response from the store on
+  // the fly. Evaluating EVERY response before delivering ANY reply gives
+  // synchronous-round snapshot semantics: a response reflects the
+  // post-push, pre-reply state, independent of pull arrival order. (The
+  // seed executor interleaved respond with deliveries in sorted-responder
+  // order, so its same-seed trajectories differ; see CHANGES.md.) With no
+  // respond hook every answer is Empty, so the phase only runs when a hook
+  // observes it.
   if constexpr (HasRespondHook<H> || HasOnPullReplyHook<H>) {
     if (pull_count_ != 0) {
       const std::size_t m = pull_count_;
-      const bool flat = delivery_map_.flat();
       // Pass B runs only when something consumes the decoded message.
       const bool deliver = track || HasOnPullReplyHook<H>;
       if (deliver) response_of_.resize(m);
-      if (response_stores_.size() < delivery_map_.count) {
-        response_stores_.resize(delivery_map_.count);
-      }
-      // Route pulls by responder bucket; remember whether the requester
-      // sequence is bucket-monotone (it is for whole-network rounds, where
-      // initiator order is ascending) so pass B can split at requester-
-      // bucket boundaries without reordering deliveries.
-      bool requester_monotone = true;
-      if (!flat) {
-        if (pull_refs_.size() < delivery_map_.count) {
-          pull_refs_.resize(delivery_map_.count);
-        }
-        for (std::uint32_t b = 0; b < delivery_map_.count; ++b) pull_refs_[b].clear();
-        std::uint32_t prev_bucket = 0;
-        for (std::size_t i = 0; i < m; ++i) {
-          const PendingPull& p = pulls_[i];
-          pull_refs_[delivery_map_.bucket_of(p.responder)].push_back(
-              PullRef{p.responder, static_cast<std::uint32_t>(i)});
-          const std::uint32_t rq = delivery_map_.bucket_of(p.from);
-          if (rq < prev_bucket) requester_monotone = false;
-          prev_bucket = rq;
-        }
-      }
+      ResponseStore& store = response_store_;
+      store.clear();
 
-      // Pass A: evaluate + meter, responder-bucket-major. `delta` non-null
-      // (pool execution) meters into a per-bucket RoundStats merged in
-      // bucket order below; the serial sweep meters the collector directly.
-      // The per-responder probe is the one unavoidable random access of the
-      // phase, so the loops prefetch it kPullLookahead pulls ahead - by the
-      // time a pull is evaluated its PullStamp line is already in L1.
+      // Pass A: evaluate + meter. The per-responder probe is the one
+      // unavoidable random access of the phase, so the loop prefetches it
+      // kPullLookahead pulls ahead - by the time a pull is evaluated its
+      // PullStamp line is already in L1.
       constexpr std::size_t kPullLookahead = 48;
-      const auto evaluate_bucket = [&](std::size_t b, RoundStats* delta) {
-        ResponseStore& store = response_stores_[b];
-        store.clear();
-        const auto eval_one = [&](std::uint32_t responder, std::uint32_t index) {
-          PullStamp& ps = pull_stamp_[responder];
-          std::uint32_t offset;
-          std::uint64_t meter;
-          if ((ps.stamp >> 32) != pull_epoch_) {
-            Message response;
-            if constexpr (HasRespondHook<H>) response = hooks.respond(responder);
-            if (byz != nullptr && byz->byzantine(responder)) {
-              // Pure in (seed, round, responder): the corrupted response is
-              // the same whichever requester triggers the evaluation, so the
-              // single-evaluation cache and every executor agree.
-              response = byz->corrupt_response(fault_round, responder, net_, response);
-              // Once per (responder, round) - evaluation is cached - and the
-              // responder set is bucket-invariant, so so is the sample.
-              if (telemetry_ != nullptr) telemetry_->events.note_corruption(responder);
-            }
-            const std::uint64_t bits = response.bits(net_.costs());
-            const bool has_payload = !response.is_empty();
-            offset = store.append(std::move(response));
-            meter = bits << 1 | static_cast<std::uint64_t>(has_payload);
-            ps.stamp = (static_cast<std::uint64_t>(pull_epoch_) << 32) | offset;
-            ps.meter = meter;
-          } else {
-            offset = static_cast<std::uint32_t>(ps.stamp);
-            meter = ps.meter;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (i + kPullLookahead < m) {
+          __builtin_prefetch(&pull_stamp_[pulls_[i + kPullLookahead].responder], 1);
+        }
+        const std::uint32_t responder = pulls_[i].responder;
+        PullStamp& ps = pull_stamp_[responder];
+        std::uint32_t offset;
+        std::uint64_t meter;
+        if ((ps.stamp >> 32) != pull_epoch_) {
+          Message response;
+          if constexpr (HasRespondHook<H>) response = hooks.respond(responder);
+          if (byz != nullptr && byz->byzantine(responder)) {
+            // Pure in (seed, round, responder): the corrupted response is
+            // the same whichever requester triggers the evaluation, so the
+            // single-evaluation cache and every executor agree.
+            response = byz->corrupt_response(fault_round, responder, net_, response);
+            // Once per (responder, round) - evaluation is cached.
+            if (telemetry_ != nullptr) telemetry_->events.note_corruption(responder);
           }
-          if (delta != nullptr) {
-            delta->add_pull_response(meter >> 1, (meter & 1) != 0);
-          } else {
-            metrics_.record_pull_response(meter >> 1, (meter & 1) != 0);
-          }
-          if (deliver) response_of_[index] = offset;
-        };
-        if (flat) {
-          for (std::size_t i = 0; i < m; ++i) {
-            if (i + kPullLookahead < m) {
-              __builtin_prefetch(&pull_stamp_[pulls_[i + kPullLookahead].responder], 1);
-            }
-            eval_one(pulls_[i].responder, static_cast<std::uint32_t>(i));
-          }
+          const std::uint64_t bits = response.bits(net_.costs());
+          const bool has_payload = !response.is_empty();
+          offset = store.append(std::move(response));
+          meter = bits << 1 | static_cast<std::uint64_t>(has_payload);
+          ps.stamp = (static_cast<std::uint64_t>(pull_epoch_) << 32) | offset;
+          ps.meter = meter;
         } else {
-          const std::span<const PullRef> refs(pull_refs_[b]);
-          for (std::size_t j = 0; j < refs.size(); ++j) {
-            if (j + kPullLookahead < refs.size()) {
-              __builtin_prefetch(&pull_stamp_[refs[j + kPullLookahead].responder], 1);
-            }
-            // Bucket-order merge preconditions: every ref in this bucket's
-            // list must actually belong to bucket b, and the routing pass
-            // must have preserved ascending pull order within the bucket
-            // (pass B's requester-order delivery depends on it).
-            GOSSIP_DCHECK_MSG(delivery_map_.bucket_of(refs[j].responder) == b,
-                              "pull ref routed into the wrong responder bucket");
-            GOSSIP_DCHECK_MSG(j == 0 || refs[j].index > refs[j - 1].index,
-                              "pull refs out of order within a responder bucket");
-            eval_one(refs[j].responder, refs[j].index);
-          }
+          offset = static_cast<std::uint32_t>(ps.stamp);
+          meter = ps.meter;
         }
-      };
-      if (pool_delivery) {
-        bucket_deltas_.assign(delivery_map_.count, RoundStats{});
-        par_->pool().parallel_for(delivery_map_.count, [&](std::size_t b) {
-          evaluate_bucket(b, &bucket_deltas_[b]);
-        });
-        for (const RoundStats& delta : bucket_deltas_) {
-          GOSSIP_DCHECK_MSG(delta.max_involvement == 0,
-                            "bucket delta carries max_involvement; the merge owns it");
-          metrics_.merge_round_delta(delta);
-        }
-      } else {
-        for (std::size_t b = 0; b < delivery_map_.count; ++b) {
-          evaluate_bucket(b, nullptr);
-        }
+        metrics_.record_pull_response(meter >> 1, (meter & 1) != 0);
+        if (deliver) response_of_[i] = offset;
       }
 
       // Pass B: deliver in requester order (no metering left to do). A
@@ -1179,7 +978,11 @@ void Engine::run_round_impl(Hooks&& hooks, std::span<const std::uint32_t> initia
       // computed. The tracer's bitmap word is prefetched alongside the
       // response entry, one lookahead window ahead.
       if (deliver) {
-        const auto deliver_one = [&](const ResponseStore& store, std::size_t i) {
+        for (std::size_t i = 0; i < m; ++i) {
+          if (i + kPullLookahead < m) {
+            store.prefetch(response_of_[i + kPullLookahead]);
+            if (tracer != nullptr) tracer->prefetch(pulls_[i + kPullLookahead].from);
+          }
           const PendingPull& p = pulls_[i];
           store.with_message(response_of_[i], [&](const Message& msg) {
             if (tracer != nullptr && msg.has_rumor()) {
@@ -1188,46 +991,6 @@ void Engine::run_round_impl(Hooks&& hooks, std::span<const std::uint32_t> initia
             if (track) learn_from_message(p.from, msg);
             if constexpr (HasOnPullReplyHook<H>) hooks.on_pull_reply(p.from, msg);
           });
-        };
-        const auto deliver_range = [&](std::size_t lo, std::size_t hi) {
-          if (flat) {
-            const ResponseStore& store = response_stores_[0];
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (i + kPullLookahead < hi) {
-                store.prefetch(response_of_[i + kPullLookahead]);
-                if (tracer != nullptr) tracer->prefetch(pulls_[i + kPullLookahead].from);
-              }
-              deliver_one(store, i);
-            }
-          } else {
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (i + kPullLookahead < hi) {
-                const PendingPull& ahead = pulls_[i + kPullLookahead];
-                response_stores_[delivery_map_.bucket_of(ahead.responder)].prefetch(
-                    response_of_[i + kPullLookahead]);
-                if (tracer != nullptr) tracer->prefetch(ahead.from);
-              }
-              deliver_one(response_stores_[delivery_map_.bucket_of(pulls_[i].responder)],
-                          i);
-            }
-          }
-        };
-        if (pool_delivery && requester_monotone) {
-          pull_chunk_bounds_.clear();
-          pull_chunk_bounds_.push_back(0);
-          for (std::size_t i = 1; i < m; ++i) {
-            if (delivery_map_.bucket_of(pulls_[i].from) !=
-                delivery_map_.bucket_of(pulls_[i - 1].from)) {
-              pull_chunk_bounds_.push_back(i);
-            }
-          }
-          pull_chunk_bounds_.push_back(m);
-          const std::size_t chunks = pull_chunk_bounds_.size() - 1;
-          par_->pool().parallel_for(chunks, [&](std::size_t c) {
-            deliver_range(pull_chunk_bounds_[c], pull_chunk_bounds_[c + 1]);
-          });
-        } else {
-          deliver_range(0, m);
         }
       }
     }

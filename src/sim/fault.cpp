@@ -417,7 +417,7 @@ bool ByzantineResponder::byzantine(std::uint32_t node) const {
 Message ByzantineResponder::corrupt_response(std::uint64_t round, std::uint32_t responder,
                                              const Network& net,
                                              const Message& honest) const {
-  // Pure in (network seed, round, responder): every executor, bucket count
+  // Pure in (network seed, round, responder): every executor, thread count
   // and requester sees the same poisoned message. The detectable payload
   // parts (rumor, count) are stripped - the receiver notices the corruption
   // and discards them, modeled as absence. The ID list is the attack: one

@@ -133,7 +133,7 @@ class FaultModel {
 
   /// Replacement for a byzantine `responder`'s single per-round response.
   /// Must be a pure function of (network seed, round, responder) - it is
-  /// evaluated once per responder per round, in receiver-bucket order, and
+  /// evaluated once per responder per round, in first-pull order, and
   /// every requester sees the same corrupted message. The default returns
   /// `honest` unchanged.
   [[nodiscard]] virtual Message corrupt_response(std::uint64_t round,
@@ -294,8 +294,8 @@ class LossSchedule final : public FaultModel {
 /// capacity slots - joiners arriving mid-partition land in a component too -
 /// and are pre-committed at run begin from a per-node counter stream keyed
 /// on (network seed, node) with a dedicated salt, so the split is oblivious
-/// to the algorithm and bit-identical across trial workers, engine threads
-/// and delivery buckets.
+/// to the algorithm and bit-identical across trial workers and engine
+/// threads.
 class PartitionFault final : public FaultModel {
  public:
   PartitionFault(std::uint64_t from_round, std::uint64_t until_round,

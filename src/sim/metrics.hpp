@@ -127,9 +127,8 @@ class MetricsCollector {
   }
 
   /// Involvement bump for ONE contact endpoint, replayed after phase 1 by
-  /// the sharded executor (initiator side in shard order, target side in
-  /// receiver-bucket order). Order-insensitive within a round: the counters
-  /// only increase and Delta is a max over the final per-node counts, so any
+  /// the sharded executor in shard order. Order-insensitive within a round:
+  /// the counters only increase and Delta is a max over the final per-node counts, so any
   /// replay order is bit-identical to inline serial metering.
   void record_involvement(std::uint32_t node) {
     if (track_involvement_) bump_involvement(node);

@@ -8,8 +8,6 @@ ParallelEngine::ParallelEngine(Network& net, ParallelOptions options)
   // be; normalise to the single-thread sharded mode (same trajectories as
   // any other thread count).
   set_threads(options.threads == 0 ? 1 : options.threads, options.shard_size);
-  set_delivery_buckets(options.delivery_buckets);
-  set_parallel_delivery(options.parallel_delivery);
 }
 
 }  // namespace gossip::sim::parallel

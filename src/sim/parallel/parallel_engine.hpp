@@ -34,13 +34,6 @@ struct ParallelOptions {
   /// Initiators per shard; 0 picks kDefaultShardSize. Part of the
   /// determinism contract - see shard.hpp.
   std::uint32_t shard_size = 0;
-  /// Receiver buckets for the delivery phases (Engine::set_delivery_buckets;
-  /// 0 = auto - currently the flat sweep - 1 = flat). NOT part of any determinism
-  /// contract: delivery content is bucket-invariant.
-  std::uint32_t delivery_buckets = 0;
-  /// Run phases 2-3 on the pool too (Engine::set_parallel_delivery). Opt-in:
-  /// it tightens the hook thread-safety contract - see sim/engine.hpp.
-  bool parallel_delivery = false;
   /// Retain per-round stats (as Engine's keep_history).
   bool keep_history = false;
 };

@@ -17,6 +17,8 @@
 //                               are contiguous initiator ranges.
 // The merge (engine side) walks shards 0..k-1, so every thread count -
 // including 1 - produces bit-identical trajectories for a fixed shard size.
+// Only phase 1 is sharded: phases 2-3 run on the engine's calling thread,
+// replaying the shards' queues in shard order.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +50,10 @@ inline constexpr std::size_t kShardDrawBatch = 1024;
 struct ShardBuffer {
   RoundStats stats;  ///< additive counters only; max_involvement stays 0
   std::vector<std::pair<std::uint32_t, std::uint32_t>> endpoints;
-  /// Pending pushes, receiver-bucketed (sim/push_queue.hpp): phase 2 replays
-  /// bucket-major across shards, shard-minor within a bucket, so each
-  /// receiver still sees its deliveries in global initiator order.
-  BucketedPushQueue pushes;
+  /// Pending pushes (sim/push_queue.hpp): phase 2 replays the shards'
+  /// queues in shard order, so each receiver sees its deliveries in global
+  /// initiator order.
+  PushQueue pushes;
   std::vector<PendingPull> pulls;
 
   Rng rng{0};
@@ -63,7 +65,7 @@ struct ShardBuffer {
   /// Telemetry: per-shard loss-drop total plus the deterministic bottom-k
   /// candidate sample (obs/sample.hpp), folded in shard order at merge
   /// time. Keyed by the engine's sharded round key, so the sample set is a
-  /// pure function of the trajectory, not of threads or buckets.
+  /// pure function of the trajectory, not of the thread count.
   std::uint64_t loss_drops = 0;
   obs::TopKSample drop_sample;
   std::uint64_t obs_round = 0;
@@ -77,17 +79,15 @@ struct ShardBuffer {
   std::vector<obs::TraceCandidate> trace_candidates;
 
   /// Re-arms the shard for one round: clears the buffers (capacity kept),
-  /// adopts the engine's current delivery-bucket decomposition, provenance
-  /// tracer (null when untraced) and event-sample cap, and re-keys the draw
-  /// stream from the base generator.
+  /// adopts the engine's provenance tracer (null when untraced) and
+  /// event-sample cap, and re-keys the draw stream from the base generator.
   void begin_round(const Rng& base, std::uint64_t round, std::uint64_t shard,
-                   std::size_t initiator_count, const BucketMap& delivery_buckets,
+                   std::size_t initiator_count,
                    const obs::ProvenanceTracer* round_tracer,
                    std::size_t sample_cap) {
     stats = RoundStats{};
     endpoints.clear();
     pushes.clear();
-    pushes.configure(delivery_buckets);
     pulls.clear();
     rng = base.fork(round, shard);
     draw_pos = 0;

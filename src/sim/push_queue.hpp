@@ -16,20 +16,10 @@
 // the wire format - and phase 2's replay cost - is identical whether the
 // tracer is armed or not.
 //
-// Receiver bucketing (PR 5). Phases 2-3 probe receiver-indexed state - the
-// on_push/on_pull_reply target's own arrays, KnowledgeTracker rows, the
-// engine's pull-response stamps - once per contact, and at multi-million n
-// each probe is a random DRAM miss. A BucketMap partitions the receiver
-// index space into contiguous power-of-two ranges (`receiver >> bits`), so
-// a delivery phase that sweeps bucket-by-bucket touches only one range's
-// worth of receiver state at a time (cache-resident by construction), and -
-// because buckets PARTITION the receivers - buckets can also be processed
-// on different threads without two workers ever touching the same node's
-// state. BucketedPushQueue is the phase-2 carrier: one PushQueue stream per
-// bucket, filled by the phase-1 sinks and replayed bucket-by-bucket. Every
-// receiver lives in exactly one bucket, so its deliveries keep their global
-// enqueue (= initiator) order under any bucket count; only the interleaving
-// ACROSS receivers changes, which no per-node hook can observe.
+// Every round has exactly one delivery path: phase 2 replays the queue(s)
+// front to back - the serial engine's one queue, or the shards' queues in
+// shard order - and phase 3 evaluates into one ResponseStore. Each receiver
+// therefore sees its deliveries in global initiator order.
 #pragma once
 
 #include <algorithm>
@@ -55,59 +45,6 @@ struct PendingPull {
   std::uint32_t responder;
   std::uint8_t chan = 0;
 };
-
-/// Contiguous power-of-two partition of the receiver index space used by the
-/// bucketed delivery phases: node v belongs to bucket v >> bits. count == 1
-/// (the identity map below) reproduces the flat, unbucketed sweep exactly.
-struct BucketMap {
-  std::uint32_t bits = 32;  ///< log2 of the receivers-per-bucket width
-  std::uint32_t count = 1;  ///< number of buckets covering [0, n)
-
-  // GOSSIP_HOT
-  [[nodiscard]] std::uint32_t bucket_of(std::uint32_t receiver) const GOSSIP_AUDIT_NOEXCEPT {
-    // Widen before shifting: bits == 32 (a flat map over a full-width index
-    // space) would be UB on a 32-bit shift.
-    const std::uint32_t bucket =
-        static_cast<std::uint32_t>(static_cast<std::uint64_t>(receiver) >> bits);
-    GOSSIP_DCHECK_MSG(bucket < count,
-                      "receiver outside the bucketed index space (bucket "
-                          << bucket << " of " << count << ")");
-    return bucket;
-  }
-  [[nodiscard]] bool flat() const noexcept { return count <= 1; }
-};
-
-/// Upper bound on the bucket count an engine accepts (and the scenario/bench
-/// `delivery_buckets` knobs advertise). Far beyond the useful range: buckets
-/// exist to make a slice of receiver state cache-resident, and n / 4096
-/// receivers per bucket is sub-L1 for any simulable n.
-inline constexpr std::uint32_t kMaxDeliveryBuckets = 4096;
-
-/// Resolves a requested delivery-bucket count against a network size: the
-/// map uses the smallest power-of-two width whose bucket count does not
-/// exceed the request (so requested == 1 is exactly the flat map).
-///
-/// `requested` 0 = auto currently resolves to the FLAT map at every n:
-/// measured on the bench host, the engine's prefetched linear probe of
-/// receiver state beats scatter-routing into bucket streams from
-/// L2-resident up through LLC-exceeding sizes (n = 16e6 was ~1.6x SLOWER
-/// with 128 buckets), so bucketing earns its routing cost only as the
-/// receiver PARTITION behind pool-executed delivery (set_parallel_delivery)
-/// and as an explicit locality knob for sweeps on other hosts. The result
-/// depends only on (n, requested) - never on thread counts - and is part of
-/// no determinism contract at all: delivery content is bucket-invariant.
-[[nodiscard]] inline BucketMap make_bucket_map(std::uint32_t n, std::uint32_t requested) {
-  BucketMap map;
-  if (n <= 1) return map;
-  // 64-bit shifts: a full-width index space needs bits == 32, which would
-  // be UB on the 32-bit top index.
-  const std::uint64_t top = n - 1;  // highest receiver index
-  const std::uint32_t target = requested == 0 ? 1 : requested;
-  map.bits = 0;
-  while ((top >> map.bits) + 1 > target) ++map.bits;
-  map.count = static_cast<std::uint32_t>((top >> map.bits) + 1);
-  return map;
-}
 
 class PushQueue {
  public:
@@ -381,50 +318,6 @@ class ResponseStore {
   std::vector<std::uint8_t> bytes_;
   std::size_t len_ = 0;
   std::vector<Message> spill_;
-};
-
-/// Pending pushes partitioned by receiver bucket: one PushQueue stream per
-/// bucket, routed at enqueue time. Phase 2 replays bucket-by-bucket (each
-/// stream in enqueue order), so a receiver's deliveries arrive in the same
-/// relative order as the flat queue's - see the bucketing notes above.
-class BucketedPushQueue {
- public:
-  /// Adopts a bucket decomposition. Existing queue capacity is kept (streams
-  /// shrink to the new count logically, not physically), so reconfiguring
-  /// between rounds does not reallocate.
-  void configure(const BucketMap& map) {
-    bits_ = map.bits;
-    count_ = map.count;
-    if (queues_.size() < count_) queues_.resize(count_);
-  }
-
-  void clear() noexcept {
-    for (std::size_t b = 0; b < count_; ++b) queues_[b].clear();
-    entries_ = 0;
-  }
-
-  [[nodiscard]] std::size_t entries() const noexcept { return entries_; }
-  [[nodiscard]] bool empty() const noexcept { return entries_ == 0; }
-  [[nodiscard]] std::uint32_t bucket_count() const noexcept {
-    return static_cast<std::uint32_t>(count_);
-  }
-
-  // GOSSIP_HOT
-  void enqueue(std::uint32_t to, Message&& msg) {
-    ++entries_;
-    const std::uint64_t bucket = static_cast<std::uint64_t>(to) >> bits_;
-    GOSSIP_DCHECK_MSG(bucket < count_, "push routed outside the bucket partition");
-    queues_[bucket].enqueue(to, std::move(msg));
-  }
-
-  /// Stream of one bucket, for phase 2's bucket-major replay.
-  [[nodiscard]] const PushQueue& bucket(std::uint32_t b) const { return queues_[b]; }
-
- private:
-  std::uint32_t bits_ = 32;
-  std::size_t count_ = 1;
-  std::size_t entries_ = 0;
-  std::vector<PushQueue> queues_{1};
 };
 
 }  // namespace gossip::sim

@@ -23,6 +23,10 @@ struct Case {
   Runner runner;
 };
 
+// The default printer dumps the two pointers, which ASLR moves on every run,
+// into the ctest name; print the variant instead.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
 class UniformBaselines : public ::testing::TestWithParam<Case> {};
 
 TEST_P(UniformBaselines, InformsEveryone) {

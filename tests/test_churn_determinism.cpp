@@ -1,7 +1,7 @@
 // Churn determinism under parallelism (PR 6): a scenario with Poisson
 // joins/crashes, a loss burst AND byzantine responders must produce
-// bit-identical trajectories across TrialRunner worker counts {1, 2, 8},
-// engine thread counts {1, 2, 8} and delivery bucket counts {1, 4, 64}.
+// bit-identical trajectories across TrialRunner worker counts {1, 2, 8} and
+// engine thread counts {1, 2, 8}.
 // Join order is part of the round timeline (sync points at round begin),
 // arrival counts and crash victims come from (network seed, round) counter
 // streams, and response corruption is pure per (seed, round, responder) -
@@ -99,22 +99,9 @@ TEST(ChurnDeterminism, EngineThreadCountsAreBitIdentical) {
   }
 }
 
-TEST(ChurnDeterminism, DeliveryBucketCountsAreBitIdentical) {
-  ScenarioSpec spec = churn_spec();
-  spec.delivery_buckets = 1;
-  const ScenarioResult base = TrialRunner(1).run(spec);
-  for (const unsigned buckets : {4u, 64u}) {
-    spec.delivery_buckets = buckets;
-    const ScenarioResult result = TrialRunner(1).run(spec);
-    expect_reports_identical(base.reports, result.reports, "delivery_buckets");
-    expect_aggregates_identical(base.aggregate, result.aggregate, "delivery_buckets");
-  }
-}
-
 TEST(ChurnDeterminism, NestedEngineAndTrialParallelism) {
   ScenarioSpec spec = churn_spec();
   spec.engine_threads = 2;
-  spec.delivery_buckets = 4;
   const ScenarioResult base = TrialRunner(1).run(spec);
   for (const unsigned workers : {2u, 8u}) {
     const ScenarioResult result = TrialRunner(workers).run(spec);
@@ -138,12 +125,10 @@ TEST(ChurnDeterminism, MembershipServiceIsExecutorInvariant) {
   spec.byzantine_fraction = 0.1;
   const ScenarioResult base = TrialRunner(1).run(spec);
   {
-    ScenarioSpec alt = spec;
-    alt.delivery_buckets = 64;
-    const ScenarioResult result = TrialRunner(2).run(alt);
-    expect_reports_identical(base.reports, result.reports, "membership buckets");
+    const ScenarioResult result = TrialRunner(2).run(spec);
+    expect_reports_identical(base.reports, result.reports, "membership workers=2");
     expect_aggregates_identical(base.aggregate, result.aggregate,
-                                "membership buckets");
+                                "membership workers=2");
   }
   {
     ScenarioSpec alt = spec;

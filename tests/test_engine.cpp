@@ -1,6 +1,6 @@
 // Unit tests for the round engine (sim/engine.hpp): delivery semantics,
 // address-obliviousness enforcement, direct-addressing honesty, failure
-// behaviour and metering integration.
+// behaviour, metering integration and the phase-3 response cache.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -328,6 +328,51 @@ TEST(Engine, MeteringIntegration) {
   EXPECT_EQ(t.initiators, 2u);
   // Node 1 was involved in both communications.
   EXPECT_EQ(t.max_involvement, 2u);
+}
+
+// Phase 3's compact response cache: metering from the 2-byte header must
+// match Message::bits / is_empty, and decoding must round-trip the content,
+// inline and spilled alike.
+TEST(DeliveryResponseStore, RoundTripsMeteringAndContent) {
+  const MessageCosts costs = MessageCosts::for_network(1 << 16, 256);
+  ResponseStore store;
+
+  Message::IdList three;
+  for (std::uint32_t i = 0; i < 3; ++i) three.push_back(NodeId(1000 + i));
+  Message::IdList big;
+  for (std::uint32_t i = 0; i < PushQueue::kInlineIds + 4; ++i) {
+    big.push_back(NodeId(5000 + i));
+  }
+  std::vector<Message> originals;
+  originals.push_back(Message::empty());
+  originals.push_back(Message::rumor());
+  originals.push_back(Message::count(42));
+  originals.push_back(Message::rumor().and_count(7).and_id(NodeId(9)));
+  originals.push_back(Message::id_list(three));
+  originals.push_back(Message::id_list(big));  // spills
+
+  std::vector<std::uint32_t> offsets;
+  for (const Message& m : originals) {
+    Message copy = m;
+    offsets.push_back(store.append(std::move(copy)));
+  }
+  for (std::size_t i = 0; i < originals.size(); ++i) {
+    const Message& want = originals[i];
+    const ResponseStore::Meter meter = store.meter_at(offsets[i], costs);
+    EXPECT_EQ(meter.bits, want.bits(costs)) << i;
+    EXPECT_EQ(meter.has_payload, !want.is_empty()) << i;
+    store.with_message(offsets[i], [&](const Message& got) {
+      EXPECT_EQ(got.has_rumor(), want.has_rumor()) << i;
+      EXPECT_EQ(got.has_count(), want.has_count()) << i;
+      if (want.has_count()) {
+        EXPECT_EQ(got.count_value(), want.count_value()) << i;
+      }
+      ASSERT_EQ(got.ids().size(), want.ids().size()) << i;
+      for (std::size_t k = 0; k < want.ids().size(); ++k) {
+        EXPECT_EQ(got.ids()[k], want.ids()[k]) << i;
+      }
+    });
+  }
 }
 
 }  // namespace

@@ -179,8 +179,8 @@ TEST(Metrics, ShardDeltaMergeMatchesInlineMetering) {
       }
     }
     merged_m.merge_round_delta(delta);
-    // Initiator side in shard order; target side deferred like the engine's
-    // receiver-bucketed replay (order cannot matter: monotone counters).
+    // Initiator side in shard order; target side deferred to a separate
+    // pass (order cannot matter: monotone counters).
     for (int i = shard * 3; i < shard * 3 + 3; ++i) {
       merged_m.record_involvement(contacts[i].from);
     }

@@ -2,8 +2,7 @@
 // series and the structured event log collected on a churn + loss burst +
 // byzantine scenario must be BIT-IDENTICAL - as serialised by the obs
 // exporters, wall-clock fields excluded - across TrialRunner worker counts
-// {1, 2, 8} x sharded engine thread counts {1, 2, 8} x delivery bucket
-// counts {1, 64}. Plus: the Chrome trace exporter must emit valid JSON with
+// {1, 2, 8} x sharded engine thread counts {1, 2, 8}. Plus: the Chrome trace exporter must emit valid JSON with
 // monotone per-track timestamps.
 #include <gtest/gtest.h>
 
@@ -76,22 +75,17 @@ TEST(ChurnTelemetryGolden, CollectsEveryEventKindAndEveryRound) {
   EXPECT_GT(kinds[obs::EventKind::kCorruptResponse], 0u);
 }
 
-TEST(ChurnTelemetryGolden, BitIdenticalAcrossWorkersThreadsAndBuckets) {
+TEST(ChurnTelemetryGolden, BitIdenticalAcrossWorkersAndThreads) {
   ScenarioSpec spec = telemetry_spec();
   spec.engine_threads = 1;
-  spec.delivery_buckets = 1;
   const std::string base = golden(TrialRunner(1).run(spec));
   ASSERT_FALSE(base.empty());
   for (const unsigned workers : {1u, 2u, 8u}) {
     for (const unsigned engine_threads : {1u, 2u, 8u}) {
-      for (const unsigned buckets : {1u, 64u}) {
-        ScenarioSpec alt = telemetry_spec();
-        alt.engine_threads = engine_threads;
-        alt.delivery_buckets = buckets;
-        EXPECT_EQ(golden(TrialRunner(workers).run(alt)), base)
-            << "workers=" << workers << " engine_threads=" << engine_threads
-            << " delivery_buckets=" << buckets;
-      }
+      ScenarioSpec alt = telemetry_spec();
+      alt.engine_threads = engine_threads;
+      EXPECT_EQ(golden(TrialRunner(workers).run(alt)), base)
+          << "workers=" << workers << " engine_threads=" << engine_threads;
     }
   }
 }

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 
 #include "baselines/uniform.hpp"
 #include "cluster/driver.hpp"
+#include "sim/fault.hpp"
 #include "sim/parallel/parallel_engine.hpp"
 #include "sim/parallel/thread_pool.hpp"
 
@@ -547,6 +549,85 @@ TEST(ParallelOptIn, ConsecutiveShardedEnginesAreIndependent) {
   };
   EXPECT_EQ(first, replay());
   EXPECT_EQ(second, replay());
+}
+
+// ---------------------------------------------------------------------------
+// Fault rounds: a mid-run crash plus a lossy channel drop the same payloads,
+// contact for contact. Drop decisions are keyed by (seed, round, initiator),
+// never by the draw path, so every sharded thread count agrees, and on
+// direct-addressed rounds the serial executor agrees too.
+// ---------------------------------------------------------------------------
+
+struct FaultRunResult {
+  RunStats stats;
+  std::vector<std::uint64_t> pushes_seen, replies_seen;
+  std::uint64_t deliveries = 0;  ///< on_push calls
+};
+
+FaultRunResult run_faulted_exchanges(unsigned threads, bool direct) {
+  constexpr std::uint32_t kN = 900;
+  constexpr unsigned kRounds = 12;
+  Network net(opts(kN, 31, /*track=*/false));
+  auto fault = std::make_unique<CompositeFault>();
+  fault->add(std::make_unique<ScheduledCrash>(/*crash_round=*/3, /*count=*/90,
+                                              FaultStrategy::kRandomSubset))
+      .add(std::make_unique<LossyChannel>(0.25));
+  Rng adversary(net.rng().fork(0xadbead));
+  fault->on_run_begin(net, adversary);
+  std::unique_ptr<Engine> eng;
+  if (threads == 0) {
+    eng = std::make_unique<Engine>(net, /*keep_history=*/true);
+  } else {
+    eng = std::make_unique<parallel::ParallelEngine>(
+        net, parallel::ParallelOptions{
+                 .threads = threads, .shard_size = 64, .keep_history = true});
+  }
+  eng->set_fault_model(fault.get());
+
+  FaultRunResult res;
+  res.pushes_seen.assign(kN, 0);
+  res.replies_seen.assign(kN, 0);
+  unsigned round = 0;
+  auto hooks = make_hooks(
+      [&](std::uint32_t v) -> std::optional<Contact> {
+        if (!direct) return Contact::exchange_random(Message::count(v));
+        const std::uint32_t partner = (v + 1 + round % (kN - 1)) % kN;
+        return Contact::exchange_direct(net.id_of(partner), Message::count(v));
+      },
+      [&](std::uint32_t v) { return Message::count(res.pushes_seen[v]); },
+      [&](std::uint32_t r, const Message& m) {
+        ++res.deliveries;
+        res.pushes_seen[r] += 1 + m.count_value() % 5;
+      },
+      [&](std::uint32_t q, const Message& m) { res.replies_seen[q] += m.count_value() % 97; });
+  for (; round < kRounds; ++round) eng->run_round(hooks);
+  res.stats = eng->metrics().run();
+  return res;
+}
+
+void expect_fault_runs_equal(const FaultRunResult& a, const FaultRunResult& b,
+                             const char* what) {
+  expect_runs_equal(a.stats, b.stats);
+  EXPECT_EQ(a.pushes_seen, b.pushes_seen) << what;
+  EXPECT_EQ(a.replies_seen, b.replies_seen) << what;
+  EXPECT_EQ(a.deliveries, b.deliveries) << what;
+}
+
+TEST(ParallelFaults, LossyScheduledCrashDropsAgreePerContact) {
+  for (const bool direct : {false, true}) {
+    const FaultRunResult reference = run_faulted_exchanges(1, direct);
+    // The faults really bite: some metered pushes were never delivered.
+    EXPECT_GT(reference.deliveries, 0u);
+    EXPECT_LT(reference.deliveries, reference.stats.total.pushes);
+    for (const unsigned threads : {2u, 8u}) {
+      expect_fault_runs_equal(reference, run_faulted_exchanges(threads, direct),
+                              direct ? "sharded direct" : "sharded random");
+    }
+    if (direct) {
+      expect_fault_runs_equal(reference, run_faulted_exchanges(0, direct),
+                              "serial direct");
+    }
+  }
 }
 
 // Serial default stays serial: threads=0 leaves the engine untouched, so the

@@ -1,8 +1,7 @@
 // Spread provenance tracing (PR 8): the per-node first-inform trace - as
 // serialised by obs::write_provenance_jsonl - must be BIT-IDENTICAL across
 // TrialRunner worker counts {1, 2, 8} x sharded engine thread counts
-// {1, 2, 8} x delivery bucket counts {1, 64} on a churn + loss burst +
-// byzantine scenario, including mid-run joiners. Plus: the tracer's
+// {1, 2, 8} on a churn + loss burst + byzantine scenario, including mid-run joiners. Plus: the tracer's
 // first-write-wins/bitmap semantics, the dispersion-tree metrics, the
 // spread_depth/direct_share report metrics, and the event_sample_cap
 // scenario key.
@@ -113,22 +112,17 @@ TEST(ProvenanceTracer, SpreadMetricsOnHandBuiltTree) {
 // ---------------------------------------------------------------------------
 // The golden determinism contract.
 
-TEST(ProvenanceGolden, BitIdenticalAcrossWorkersThreadsAndBuckets) {
+TEST(ProvenanceGolden, BitIdenticalAcrossWorkersAndThreads) {
   ScenarioSpec spec = provenance_spec();
   spec.engine_threads = 1;
-  spec.delivery_buckets = 1;
   const std::string base = golden(TrialRunner(1).run(spec));
   ASSERT_FALSE(base.empty());
   for (const unsigned workers : {1u, 2u, 8u}) {
     for (const unsigned engine_threads : {1u, 2u, 8u}) {
-      for (const unsigned buckets : {1u, 64u}) {
-        ScenarioSpec alt = provenance_spec();
-        alt.engine_threads = engine_threads;
-        alt.delivery_buckets = buckets;
-        EXPECT_EQ(golden(TrialRunner(workers).run(alt)), base)
-            << "workers=" << workers << " engine_threads=" << engine_threads
-            << " delivery_buckets=" << buckets;
-      }
+      ScenarioSpec alt = provenance_spec();
+      alt.engine_threads = engine_threads;
+      EXPECT_EQ(golden(TrialRunner(workers).run(alt)), base)
+          << "workers=" << workers << " engine_threads=" << engine_threads;
     }
   }
 }

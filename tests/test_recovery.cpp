@@ -3,8 +3,7 @@
 // informed_fraction 1.0 where the brittle baseline strands ~80% of the
 // network - and (b) heal DETERMINISTICALLY: recovery trajectories and the
 // re-election/fallback EventLog entries are bit-identical across TrialRunner
-// workers {1,2,8} x sharded engine threads {1,2,8} x delivery buckets
-// {1,64}. Plus unit coverage for the PartitionFault window/component
+// workers {1,2,8} x sharded engine threads {1,2,8}. Plus unit coverage for the PartitionFault window/component
 // semantics.
 #include <gtest/gtest.h>
 
@@ -95,44 +94,35 @@ TEST(RecoverySupervisor, HealsWhatStrandsTheBrittleBaseline) {
   EXPECT_GT(kinds.at(obs::EventKind::kFallback), 0u);
 }
 
-TEST(RecoverySupervisor, GoldenAcrossWorkersAndBuckets) {
-  // Serial-engine universe: TrialRunner worker count and delivery bucket
-  // count are pure scheduling choices - reports AND the event log must be
-  // bit-identical.
+TEST(RecoverySupervisor, GoldenAcrossWorkers) {
+  // Serial-engine universe: the TrialRunner worker count is a pure
+  // scheduling choice - reports AND the event log must be bit-identical.
   const std::string base = golden(TrialRunner(1).run(recovery_spec()));
   ASSERT_FALSE(base.empty());
   EXPECT_NE(base.find("\"kind\":\"reelect\""), std::string::npos);
   EXPECT_NE(base.find("\"kind\":\"fallback\""), std::string::npos);
   for (const unsigned workers : {2u, 8u}) {
-    for (const unsigned buckets : {1u, 64u}) {
-      ScenarioSpec alt = recovery_spec();
-      alt.delivery_buckets = buckets;
-      EXPECT_EQ(golden(TrialRunner(workers).run(alt)), base)
-          << "workers=" << workers << " delivery_buckets=" << buckets;
-    }
+    EXPECT_EQ(golden(TrialRunner(workers).run(recovery_spec())), base)
+        << "workers=" << workers;
   }
 }
 
-TEST(RecoverySupervisor, GoldenAcrossEngineThreadsAndBuckets) {
+TEST(RecoverySupervisor, GoldenAcrossEngineThreads) {
   // Sharded-engine universe (a different trajectory family than serial - the
   // shard draw streams re-key): with shard_size pinned, the engine thread
   // count is pure scheduling and must not move a single bit.
-  const auto sharded_spec = [](unsigned engine_threads, unsigned buckets) {
+  const auto sharded_spec = [](unsigned engine_threads) {
     ScenarioSpec spec = recovery_spec();
     spec.engine_threads = engine_threads;
     spec.shard_size = 64;  // pinned: shard geometry is identity, threads are not
-    spec.delivery_buckets = buckets;
     return spec;
   };
-  const std::string base = golden(TrialRunner(1).run(sharded_spec(1, 0)));
+  const std::string base = golden(TrialRunner(1).run(sharded_spec(1)));
   ASSERT_FALSE(base.empty());
   EXPECT_NE(base.find("\"kind\":\"fallback\""), std::string::npos);
   for (const unsigned engine_threads : {1u, 2u, 8u}) {
-    for (const unsigned buckets : {1u, 64u}) {
-      EXPECT_EQ(golden(TrialRunner(2).run(sharded_spec(engine_threads, buckets))),
-                base)
-          << "engine_threads=" << engine_threads << " delivery_buckets=" << buckets;
-    }
+    EXPECT_EQ(golden(TrialRunner(2).run(sharded_spec(engine_threads))), base)
+        << "engine_threads=" << engine_threads;
   }
 }
 

@@ -1,13 +1,17 @@
 // ScenarioSpec parsing: key=value files, CLI flag overrides, strict errors
-// (unknown keys / bad values throw ScenarioError), and the registry lookup.
+// (unknown keys / bad values throw ScenarioError), validate()'s input
+// ranges, and the registry lookup.
 #include "runner/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "runner/registry.hpp"
+#include "runner/trial_runner.hpp"
 
 namespace gossip::runner {
 namespace {
@@ -74,6 +78,15 @@ TEST(ScenarioSpec, UnknownKeyThrows) {
   EXPECT_THROW(spec.apply_cli({"--not-a-key=1"}), ScenarioError);
   EXPECT_THROW(spec.apply_cli({"--n"}), ScenarioError);      // missing =value
   EXPECT_THROW(spec.apply_cli({"n=1024"}), ScenarioError);   // missing --
+  // Retired with receiver-bucketed delivery: old scenario files must fail
+  // loudly rather than silently ignore the line.
+  try {
+    spec.apply("delivery_buckets", "64");
+    FAIL() << "expected ScenarioError";
+  } catch (const ScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown scenario key"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ScenarioSpec, BadValuesThrow) {
@@ -93,27 +106,12 @@ TEST(ScenarioSpec, BadValuesThrow) {
   EXPECT_THROW(spec.apply("fault_strategy", "malicious"), ScenarioError);
 }
 
-TEST(ScenarioSpec, DeliveryBucketsAndShardSizeKeys) {
+TEST(ScenarioSpec, ShardSizeKey) {
   ScenarioSpec spec;
-  spec.apply("delivery_buckets", "64");
-  EXPECT_EQ(spec.delivery_buckets, 64u);
-  spec.apply("delivery_buckets", "0");  // 0 = engine auto, the default
-  EXPECT_EQ(spec.delivery_buckets, 0u);
   spec.apply("shard_size", "4096");
   EXPECT_EQ(spec.shard_size, 4096u);
-  spec.apply_cli({"--delivery_buckets=4", "--shard_size=128"});
-  EXPECT_EQ(spec.delivery_buckets, 4u);
+  spec.apply_cli({"--shard_size=128"});
   EXPECT_EQ(spec.shard_size, 128u);
-
-  // Out-of-range values name the valid range in the error.
-  try {
-    spec.apply("delivery_buckets", "4097");
-    FAIL() << "expected ScenarioError";
-  } catch (const ScenarioError& e) {
-    EXPECT_NE(std::string(e.what()).find("[0, 4096]"), std::string::npos) << e.what();
-  }
-  EXPECT_THROW(spec.apply("delivery_buckets", "-1"), ScenarioError);
-  EXPECT_THROW(spec.apply("delivery_buckets", "many"), ScenarioError);
   EXPECT_THROW(spec.apply("shard_size", "2e6"), ScenarioError);  // > 2^20
 }
 
@@ -444,6 +442,61 @@ TEST(ScenarioSpec, StrategyKeysRoundTrip) {
     ScenarioSpec spec;
     spec.apply("fault_strategy", strategy_key(s));
     EXPECT_EQ(spec.fault_strategy, s);
+  }
+}
+
+// Inputs outside a round schedule's range (core/schedules.hpp) are usage
+// errors naming the valid range, not contract violations mid-trial.
+TEST(ScenarioSpec, ValidateRejectsInputsOutsideTheScheduleRanges) {
+  const auto error_of = [](const ScenarioSpec& spec) -> std::string {
+    try {
+      spec.validate();
+    } catch (const ScenarioError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  ScenarioSpec spec;
+  spec.algorithm = "cluster2";
+  spec.n = 8;
+  EXPECT_NE(error_of(spec).find("n >= 16"), std::string::npos) << error_of(spec);
+  spec.n = 16;
+  EXPECT_EQ(error_of(spec), "");
+
+  spec.algorithm = "cluster3_push_pull";
+  spec.n = 500;  // default delta = 1024 > n
+  EXPECT_NE(error_of(spec).find("16 <= delta <= n"), std::string::npos)
+      << error_of(spec);
+  spec.delta = 500;
+  EXPECT_EQ(error_of(spec), "");
+  spec.delta = 8;  // below the schedule's minimum, set in code, not parsed
+  EXPECT_NE(error_of(spec).find("16 <= delta <= n"), std::string::npos)
+      << error_of(spec);
+  spec.n = 15;
+  spec.delta = 16;
+  EXPECT_NE(error_of(spec).find("n >= 16"), std::string::npos) << error_of(spec);
+}
+
+// Every spec validate() accepts runs to a verdict: bad inputs are rejected
+// up front with a ScenarioError, never by an internal contract check.
+TEST(Registry, EveryAlgorithmRunsOrIsRejectedUpFront) {
+  std::vector<std::uint32_t> sizes;
+  for (std::uint32_t n = 2; n <= 16; ++n) sizes.push_back(n);
+  sizes.push_back(100);
+  sizes.push_back(1023);
+  for (const AlgorithmEntry& e : algorithms()) {
+    for (const std::uint32_t n : sizes) {
+      ScenarioSpec spec;
+      spec.algorithm = e.id;
+      spec.n = n;
+      spec.trials = 1;  // membership's auto horizon makes n = 1023 the slow cell
+      try {
+        spec.validate();
+      } catch (const ScenarioError&) {
+        continue;
+      }
+      EXPECT_NO_THROW((void)run_scenario(spec)) << e.id << " n=" << n;
+    }
   }
 }
 

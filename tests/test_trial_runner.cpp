@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "runner/json_report.hpp"
 #include "runner/registry.hpp"
 
 namespace gossip::runner {
@@ -170,6 +173,24 @@ TEST(TrialRunner, ShardedEnginesInsideParallelTrials) {
   expect_reports_identical(serial.reports, parallel.reports);
 }
 
+/// The aggregate JSON report minus its one wall-clock-class field
+/// (peak_rss_bytes, what tools/strip_timing.py drops before CI diffs) and
+/// with the engine_threads echo normalised - the knob under test.
+std::string stripped_json(ScenarioResult result) {
+  result.peak_rss_bytes = 0;
+  result.spec.engine_threads = 1;
+  std::ostringstream os;
+  write_scenario_json(os, result);
+  return os.str();
+}
+
+// Every registry algorithm runs and informs the network, on the default
+// serial engine and on the sharded one, and its report is bit-identical
+// across TrialRunner workers x sharded engine threads at a fixed shard size -
+// the README determinism contract, checked on the whole registry rather than
+// on hand-picked scenarios. The serial engine (engine_threads = 0) draws a
+// different trajectory universe, so its report is pinned only against the
+// other serial run.
 TEST(TrialRunner, EveryRegistryAlgorithmRuns) {
   for (const AlgorithmEntry& entry : algorithms()) {
     ScenarioSpec spec;
@@ -178,10 +199,26 @@ TEST(TrialRunner, EveryRegistryAlgorithmRuns) {
     spec.trials = 2;
     spec.seed = 3;
     spec.delta = 64;  // cluster3_push_pull needs delta <= n
-    const ScenarioResult result = TrialRunner(2).run(spec);
-    EXPECT_EQ(result.aggregate.runs, 2u) << entry.id;
-    EXPECT_GT(result.aggregate.informed_fraction.mean(), 0.9) << entry.id;
-    EXPECT_GT(result.aggregate.rounds.mean(), 0.0) << entry.id;
+    spec.shard_size = 32;  // four shards: the merge order matters
+    std::string serial_reference;
+    std::string sharded_reference;
+    for (const unsigned workers : {1u, 4u}) {
+      for (const unsigned engine_threads : {0u, 1u, 2u, 8u}) {
+        spec.engine_threads = engine_threads;
+        const ScenarioResult result = TrialRunner(workers).run(spec);
+        EXPECT_EQ(result.aggregate.runs, 2u) << entry.id;
+        EXPECT_GT(result.aggregate.informed_fraction.mean(), 0.9) << entry.id;
+        EXPECT_GT(result.aggregate.rounds.mean(), 0.0) << entry.id;
+        const std::string json = stripped_json(result);
+        std::string& reference = engine_threads == 0 ? serial_reference : sharded_reference;
+        if (reference.empty()) {
+          reference = json;
+        } else {
+          EXPECT_EQ(json, reference) << entry.id << " workers=" << workers
+                                     << " engine_threads=" << engine_threads;
+        }
+      }
+    }
   }
 }
 

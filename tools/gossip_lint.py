@@ -2,7 +2,7 @@
 """Determinism-contract linter for the gossip reproduction.
 
 The repo's core claim is bit-identical trajectories across TrialRunner
-workers x engine threads x delivery buckets (README "Determinism
+workers x engine threads (README "Determinism
 contracts"). Most violations of that claim are not crashes - they are a
 stray wall-clock read, a hash-ordered iteration, or a float reduction
 whose result depends on merge order. This linter walks every C++ file
@@ -28,8 +28,8 @@ live there) and enforces four rule classes:
                    order is not.
   float-accum      float/double tokens inside merge*/accumulate*
                    function bodies or RoundStats members. Cross-shard
-                   and cross-bucket merges must stay integral so the
-                   reduction order cannot change the result.
+                   merges must stay integral so the reduction order
+                   cannot change the result.
   hot-throw        `throw` inside a `// GOSSIP_HOT` region.
   hot-new          `new` inside a hot region.
   hot-std-function std::function inside a hot region (type-erased call
@@ -402,8 +402,8 @@ def rule_float_accum(relpath: str, code: Sequence[Tok]) -> List[Finding]:
                     if code[j].kind == "id" and code[j].val in ("float", "double"):
                         out.append(Finding(
                             "float-accum", relpath, code[j].line,
-                            f"'{code[j].val}' inside '{t.val}': cross-shard/"
-                            "bucket merges must accumulate in integers so the "
+                            f"'{code[j].val}' inside '{t.val}': cross-shard "
+                            "merges must accumulate in integers so the "
                             "reduction order cannot change the result"))
                 i = end
         # RoundStats members stay integral - its deltas are merged.
